@@ -1,7 +1,7 @@
 //! Bench regression guards: re-measure the perf claims CI depends on and
 //! fail (exit 1) on regression against the committed baselines.
 //!
-//! Five guards run, all ratio-normalized:
+//! Eight guards run, all ratio-normalized:
 //!
 //!  1. **Transfer codec** — the `compressed/1000` extract from the
 //!     `transfer` suite must stay within 10% of the committed
@@ -22,6 +22,15 @@
 //!     and on hosts with ≥8 cores must deliver a real speedup
 //!     (`BENCH_server_concurrency.json`, DESIGN §16 / EXPERIMENTS C17).
 //!     The floor is core-count-aware — see [`guard_server_concurrency`].
+//!  6. **Embedded extract** — the embedded transport must keep beating the
+//!     TCP wire on input extraction (`BENCH_embedded.json`, DESIGN §17 /
+//!     EXPERIMENTS C18).
+//!  7. **Write-path scaling** — an embedded single-row INSERT after a read
+//!     at 200k rows must cost within 2× of the same at 1k rows: a write
+//!     pays for the rows it touches, not for the table
+//!     (`BENCH_write_path.json`, DESIGN §17 / EXPERIMENTS C19).
+//!  8. **Point UPDATE** — a one-row UPDATE at 200k rows must cost at most
+//!     3× the `count(*) … WHERE i = k` scan that finds its row (same file).
 //!
 //! Shared CI hosts drift by tens of percent run-to-run, so the guards
 //! compare *normalized* cost rather than absolute nanoseconds: both
@@ -37,8 +46,8 @@
 
 use devharness::bench::Harness;
 use devudf_bench::{
-    bench_server, bench_session, seed_numbers, SessionFleet, MEAN_DEVIATION_FIXED_BODY,
-    MEAN_DEVIATION_STRAIGHT_BODY,
+    bench_server, bench_session, seed_numbers, write_path_db, write_path_op, SessionFleet,
+    MEAN_DEVIATION_FIXED_BODY, MEAN_DEVIATION_STRAIGHT_BODY,
 };
 use monetlite::{Engine, ExecutionModel};
 use pylite::{Array, ExecMode, Interp, Value};
@@ -125,6 +134,15 @@ const EMBEDDED_CLAIMED_SPEEDUP: f64 = 5.0;
 /// check only has to catch the pathological regression — an embedded
 /// path that started serializing (pickle/frames) lands near 1×.
 const EMBEDDED_SPEEDUP_FLOOR: f64 = 2.0;
+
+const WRITE_BASELINE_FILE: &str = "BENCH_write_path.json";
+const WRITE_GROUP: &str = "write_path";
+/// INSERT-after-read at 200k rows may cost at most this multiple of the
+/// same at 1k rows. An insert that copies the table lands near 200×.
+const WRITE_INSERT_SCALING_LIMIT: f64 = 2.0;
+/// A point UPDATE may cost at most this multiple of the scan that finds
+/// its row. An UPDATE that rebuilds the table lands near 20×.
+const WRITE_UPDATE_SCAN_LIMIT: f64 = 3.0;
 
 fn min_ns(doc: &codecs::json::Value, file: &str, name: &str) -> f64 {
     doc.get("benchmarks")
@@ -636,6 +654,63 @@ floor) in all 3 attempts — the embedded path is likely serializing again"
     false
 }
 
+/// Measure write-path operations exactly as `benches/write_path.rs` does,
+/// one fixture per size. Returns min ns/iter per `(op, rows)` case.
+fn measure_write_path(cases: &[(&str, usize)]) -> Vec<f64> {
+    let doc = scratch_harness("writeguard", |h| {
+        let mut group = h.benchmark_group(WRITE_GROUP);
+        group.sample_size(12);
+        for &(op, rows) in cases {
+            let mut db = write_path_db(rows);
+            group.bench_function(format!("{op}/{rows}"), |b| {
+                b.iter(|| write_path_op(&mut db, op, rows))
+            });
+        }
+        group.finish();
+    });
+    cases
+        .iter()
+        .map(|(op, rows)| group_min_ns(&doc, "writeguard", WRITE_GROUP, &format!("{op}/{rows}")))
+        .collect()
+}
+
+/// Guard a write-path cost ratio `cases[0] / cases[1]`: the committed
+/// baseline must document it within `limit`, and the best of three live
+/// re-measurements must stay within it.
+fn guard_write_ratio(label: &str, cases: [(&str, usize); 2], limit: f64) -> bool {
+    let names = cases.map(|(op, rows)| format!("{op}/{rows}"));
+    let doc = read_baseline(WRITE_BASELINE_FILE);
+    let base = group_min_ns(&doc, WRITE_BASELINE_FILE, WRITE_GROUP, &names[0])
+        / group_min_ns(&doc, WRITE_BASELINE_FILE, WRITE_GROUP, &names[1]);
+    if base > limit {
+        eprintln!(
+            "FAIL: committed {WRITE_BASELINE_FILE} documents {} at {base:.2}x {} (limit {limit:.1}x) — re-run `cargo bench -p devudf-bench --bench write_path` on a quiet host or fix the write path",
+            names[0], names[1]
+        );
+        return false;
+    }
+    let mut best = f64::INFINITY;
+    for attempt in 1..=3 {
+        let measured = measure_write_path(&cases);
+        let ratio = measured[0] / measured[1];
+        best = best.min(ratio);
+        println!(
+            "{label} guard[{attempt}]: {} costs {ratio:.2}x {} (measured {:.0} vs {:.0} ns/iter); baseline {base:.2}x, limit {limit:.1}x",
+            names[0], names[1], measured[0], measured[1]
+        );
+        if best <= limit {
+            println!("{label} guard OK");
+            return true;
+        }
+    }
+    eprintln!(
+        "FAIL: {} held at {best:.2}x {} (> {limit:.1}x) in all 3 attempts — a write is \
+likely copying or rebuilding the whole table again",
+        names[0], names[1]
+    );
+    false
+}
+
 fn main() {
     // Operate on the workspace root regardless of invocation directory.
     if let Ok(manifest) = std::env::var("CARGO_MANIFEST_DIR") {
@@ -648,7 +723,25 @@ fn main() {
     let profile_ok = guard_profile();
     let conc_ok = guard_server_concurrency();
     let embedded_ok = guard_embedded();
-    if !(transfer_ok && vm_ok && inline_ok && profile_ok && conc_ok && embedded_ok) {
+    let insert_ok = guard_write_ratio(
+        "write-path insert",
+        [("insert_after_read", 200_000), ("insert_after_read", 1_000)],
+        WRITE_INSERT_SCALING_LIMIT,
+    );
+    let update_ok = guard_write_ratio(
+        "point update",
+        [("point_update", 200_000), ("count_where", 200_000)],
+        WRITE_UPDATE_SCAN_LIMIT,
+    );
+    if !(transfer_ok
+        && vm_ok
+        && inline_ok
+        && profile_ok
+        && conc_ok
+        && embedded_ok
+        && insert_ok
+        && update_ok)
+    {
         std::process::exit(1);
     }
 }

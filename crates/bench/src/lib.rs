@@ -117,6 +117,56 @@ pub fn create_mean_deviation(body: &str) -> String {
     )
 }
 
+/// An in-memory [`wireproto::Embedded`] engine holding `numbers(i
+/// INTEGER)` with the distinct values `0..rows`, so `WHERE i = k` selects
+/// exactly one row: the fixture of the write-path suite
+/// (`benches/write_path.rs`, EXPERIMENTS C19) and its `bench_guard` rows.
+pub fn write_path_db(rows: usize) -> wireproto::Embedded {
+    let db = Engine::new();
+    db.execute("CREATE TABLE numbers (i INTEGER)").unwrap();
+    for start in (0..rows).step_by(2000) {
+        let values: Vec<String> = (start..rows.min(start + 2000))
+            .map(|i| format!("({i})"))
+            .collect();
+        db.execute(&format!("INSERT INTO numbers VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    wireproto::Embedded::from_engine(db)
+}
+
+/// The operations of the write-path suite, each one iteration of
+/// [`write_path_op`].
+pub const WRITE_PATH_OPS: [&str; 4] = [
+    "count_where",
+    "point_update",
+    "point_delete",
+    "insert_after_read",
+];
+
+/// One iteration of write-path operation `op` on a [`write_path_db`]
+/// fixture of `rows` rows; point operations target the middle value.
+pub fn write_path_op(db: &mut wireproto::Embedded, op: &str, rows: usize) {
+    use wireproto::EngineTransport;
+    let k = rows / 2;
+    let statements = match op {
+        "count_where" => vec![format!("SELECT count(*) FROM numbers WHERE i = {k}")],
+        "point_update" => vec![format!("UPDATE numbers SET i = {k} WHERE i = {k}")],
+        // Put the row back, so every iteration deletes exactly one row.
+        "point_delete" => vec![
+            format!("DELETE FROM numbers WHERE i = {k}"),
+            format!("INSERT INTO numbers VALUES ({k})"),
+        ],
+        "insert_after_read" => vec![
+            "SELECT count(*) FROM numbers".to_string(),
+            "INSERT INTO numbers VALUES (-1)".to_string(),
+        ],
+        other => panic!("unknown write-path operation {other:?}"),
+    };
+    for sql in &statements {
+        db.query(sql).unwrap();
+    }
+}
+
 /// Populate `numbers(i INTEGER)` with `rows` realistic sensor-style values:
 /// a slowly drifting level plus small noise. Real columns are locally
 /// correlated, which is exactly why the paper's compression option pays off.

@@ -460,7 +460,12 @@ impl Engine {
         // statement re-runs the UDF and reproduces them; logging both
         // would double-apply.
         let (version_before, depth) = {
-            let inner = self.inner.borrow();
+            let mut inner = self.inner.borrow_mut();
+            if inner.udf_depth == 0 {
+                // A top-level statement reports only its own prints, never
+                // those of an earlier statement that failed.
+                inner.udf_stdout.clear();
+            }
             (inner.catalog.version(), inner.udf_depth)
         };
         let result = self.run(&stmt);
@@ -723,61 +728,92 @@ impl Engine {
         table_name: &str,
         predicate: Option<&crate::sql::ast::SqlExpr>,
     ) -> Result<QueryResult, DbError> {
-        let table = self.get_table(table_name)?;
-        let keep: Vec<bool> = match predicate {
-            None => vec![false; table.row_count()],
-            Some(p) => exec::eval::predicate_mask(self, &table, p)?
-                .into_iter()
-                .map(|m| !m)
-                .collect(),
+        let keep: Vec<bool> = {
+            let table = self.get_table(table_name)?;
+            match predicate {
+                None => vec![false; table.row_count()],
+                Some(p) => exec::eval::predicate_mask(self, &table, p)?
+                    .into_iter()
+                    .map(|m| !m)
+                    .collect(),
+            }
         };
+        // The read clone is gone, so the compaction below copies the table
+        // only when a published snapshot still shares it.
         let removed = keep.iter().filter(|k| !**k).count();
-        let filtered = table.filter(&keep);
-        let mut inner = self.inner.borrow_mut();
-        *inner.catalog.table_mut(table_name)? = filtered;
+        if removed > 0 {
+            let mut inner = self.inner.borrow_mut();
+            for column in inner.catalog.table_mut(table_name)?.columns_mut() {
+                column.retain_mask(&keep);
+            }
+        }
         Ok(QueryResult::Affected {
             rows: removed,
             message: format!("{removed} row(s) deleted"),
         })
     }
 
+    /// `UPDATE t SET c = e, … [WHERE p]`. SET expressions see only the
+    /// selected rows (MonetDB semantics: a UDF or aggregate in SET runs
+    /// over them), evaluated against the pre-update values; a column
+    /// assigned twice keeps the last assignment. Every new value is
+    /// coerced before the table is touched, so a failing statement leaves
+    /// it unchanged, and the write then costs O(rows selected) plus a
+    /// copy only when a snapshot shares the table.
     fn run_update(
         &self,
         table_name: &str,
         assignments: &[(String, crate::sql::ast::SqlExpr)],
         predicate: Option<&crate::sql::ast::SqlExpr>,
     ) -> Result<QueryResult, DbError> {
-        let table = self.get_table(table_name)?;
-        let mask = match predicate {
-            None => vec![true; table.row_count()],
-            Some(p) => exec::eval::predicate_mask(self, &table, p)?,
-        };
-        // Evaluate each assignment columnar against the full table.
-        let mut new_columns = (*table.columns).clone();
-        for (col_name, expr) in assignments {
-            let idx = table
-                .column_index(col_name)
-                .ok_or_else(|| DbError::catalog(format!("no such column '{col_name}'")))?;
-            let evaluated = exec::eval::eval_expr(self, Some(&table), expr)?;
-            let target_type = table.columns[idx].sql_type();
-            let mut rebuilt = crate::types::Column::empty(col_name.clone(), target_type);
-            for (row, selected) in mask.iter().enumerate() {
-                let v = if *selected {
-                    match &evaluated {
-                        exec::Evaluated::Scalar(s) => s.clone(),
-                        exec::Evaluated::Column(c) => c.get(row),
-                    }
-                } else {
-                    table.columns[idx].get(row)
-                };
-                rebuilt.push(&v)?;
+        let (selected, staged) = {
+            let table = self.get_table(table_name)?;
+            let selected: Vec<usize> = match predicate {
+                None => (0..table.row_count()).collect(),
+                Some(p) => exec::eval::predicate_mask(self, &table, p)?
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(row, hit)| hit.then_some(row))
+                    .collect(),
+            };
+            let scope = if selected.len() == table.row_count() {
+                table.clone()
+            } else {
+                table.permute(&selected)
+            };
+            let mut staged = Vec::with_capacity(assignments.len());
+            for (col_name, expr) in assignments {
+                let idx = table
+                    .column_index(col_name)
+                    .ok_or_else(|| DbError::catalog(format!("no such column '{col_name}'")))?;
+                let evaluated = exec::eval::eval_expr(self, Some(&scope), expr)?;
+                if let Some(n) = evaluated.column_len().filter(|n| *n != selected.len()) {
+                    return Err(DbError::exec(format!(
+                        "SET {col_name} produced {n} values for {} rows",
+                        selected.len()
+                    )));
+                }
+                let mut values =
+                    crate::types::Column::empty(col_name.clone(), table.columns[idx].sql_type());
+                for k in 0..selected.len() {
+                    values.push(&evaluated.get(k))?;
+                }
+                staged.push((idx, values));
             }
-            new_columns[idx] = rebuilt;
+            (selected, staged)
+        };
+        let updated = selected.len();
+        if updated > 0 {
+            let mut inner = self.inner.borrow_mut();
+            let columns = inner.catalog.table_mut(table_name)?.columns_mut();
+            for (idx, values) in &staged {
+                let column = &mut columns[*idx];
+                for (k, &row) in selected.iter().enumerate() {
+                    // Cannot fail: `values` already has the column's type.
+                    column.set(row, &values.get(k))?;
+                }
+            }
         }
-        let updated = mask.iter().filter(|m| **m).count();
-        let mut inner = self.inner.borrow_mut();
-        let slot = inner.catalog.table_mut(table_name)?;
-        slot.set_columns(new_columns);
         Ok(QueryResult::Affected {
             rows: updated,
             message: format!("{updated} row(s) updated"),
@@ -1192,6 +1228,168 @@ mod tests {
             .into_table()
             .unwrap();
         assert_eq!(t.row(0)[0], SqlValue::Int(51)); // 1 + 20 + 30
+    }
+
+    fn column_values(db: &Engine, table: &str, col: usize) -> Vec<SqlValue> {
+        let t = db.get_table(table).unwrap();
+        (0..t.row_count()).map(|r| t.columns[col].get(r)).collect()
+    }
+
+    #[test]
+    fn update_ignores_overflow_on_unselected_rows() {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (i INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (5), (9223372036854775807)")
+            .unwrap();
+        let r = db.execute("UPDATE t SET i = i + 1 WHERE i = 5").unwrap();
+        assert!(matches!(r, QueryResult::Affected { rows: 1, .. }), "{r:?}");
+        assert_eq!(
+            column_values(&db, "t", 0),
+            vec![SqlValue::Int(6), SqlValue::Int(i64::MAX)]
+        );
+        // A selected row still overflows loudly.
+        let err = db
+            .execute("UPDATE t SET i = i + 1 WHERE i > 6")
+            .unwrap_err();
+        assert_eq!(err.message, "integer overflow");
+    }
+
+    #[test]
+    fn update_set_sees_only_the_selected_rows() {
+        let db = engine_with_numbers();
+        db.execute("UPDATE t SET i = count(*) + sum(i) WHERE i > 3")
+            .unwrap();
+        // Two rows selected (4, 5): count 2 + sum 9.
+        assert_eq!(
+            column_values(&db, "t", 0),
+            [1, 2, 3, 11, 11].map(SqlValue::Int).to_vec()
+        );
+    }
+
+    #[test]
+    fn snapshots_keep_reading_the_values_before_update_and_delete() {
+        let db = engine_with_numbers();
+        let before = db.snapshot();
+        db.execute("UPDATE t SET i = i * 100 WHERE i = 2").unwrap();
+        let after_update = db.snapshot();
+        db.execute("DELETE FROM t WHERE i < 4").unwrap();
+        let read = |snap: &crate::snapshot::EngineSnapshot| {
+            column_values(&snap.hydrate(), "t", 0)
+                .into_iter()
+                .map(|v| match v {
+                    SqlValue::Int(i) => i,
+                    other => panic!("{other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(read(&before), vec![1, 2, 3, 4, 5]);
+        assert_eq!(read(&after_update), vec![1, 200, 3, 4, 5]);
+        assert_eq!(read(&db.snapshot()), vec![200, 4, 5]);
+    }
+
+    #[test]
+    fn failing_update_leaves_the_table_untouched() {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (i INTEGER, j INTEGER, s STRING)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10, '7'), (2, NULL, 'x'), (3, 30, '9')")
+            .unwrap();
+        let before = db.get_table("t").unwrap();
+        let version = db.catalog_version();
+        for (sql, message) in [
+            // The first assignment coerces fine; the second fails at row 2.
+            ("UPDATE t SET j = 0, i = s", "cannot cast 'x' to INTEGER"),
+            (
+                "UPDATE t SET i = s WHERE i >= 2",
+                "cannot cast 'x' to INTEGER",
+            ),
+            (
+                "UPDATE t SET i = 'abc' WHERE i = 1",
+                "cannot cast 'abc' to INTEGER",
+            ),
+        ] {
+            assert_eq!(db.execute(sql).unwrap_err().message, message, "{sql}");
+            assert_eq!(db.get_table("t").unwrap(), before, "{sql}");
+            assert_eq!(db.catalog_version(), version, "{sql}");
+        }
+    }
+
+    #[test]
+    fn update_scatters_and_clears_nulls() {
+        let db = engine_with_numbers();
+        db.execute("UPDATE t SET i = NULL WHERE i >= 4").unwrap();
+        assert_eq!(
+            column_values(&db, "t", 0),
+            vec![
+                SqlValue::Int(1),
+                SqlValue::Int(2),
+                SqlValue::Int(3),
+                SqlValue::Null,
+                SqlValue::Null
+            ]
+        );
+        db.execute("UPDATE t SET i = 40 WHERE i IS NULL").unwrap();
+        assert_eq!(
+            column_values(&db, "t", 0),
+            [1, 2, 3, 40, 40].map(SqlValue::Int).to_vec()
+        );
+        let t = db
+            .execute("SELECT count(*) FROM t WHERE i IS NULL")
+            .unwrap()
+            .into_table()
+            .unwrap();
+        assert_eq!(t.row(0)[0], SqlValue::Int(0));
+    }
+
+    #[test]
+    fn duplicate_assignments_resolve_last_wins() {
+        let db = engine_with_numbers();
+        db.execute("UPDATE t SET i = 7, i = i * 2 WHERE i = 3")
+            .unwrap();
+        // Both assignments read the pre-update value; the last one lands.
+        assert_eq!(
+            column_values(&db, "t", 0),
+            [1, 2, 6, 4, 5].map(SqlValue::Int).to_vec()
+        );
+    }
+
+    #[test]
+    fn zero_match_and_all_row_dml() {
+        let db = engine_with_numbers();
+        let version = db.catalog_version();
+        let r = db.execute("UPDATE t SET i = 0 WHERE i > 100").unwrap();
+        assert!(matches!(r, QueryResult::Affected { rows: 0, .. }), "{r:?}");
+        let r = db.execute("DELETE FROM t WHERE i > 100").unwrap();
+        assert!(matches!(r, QueryResult::Affected { rows: 0, .. }), "{r:?}");
+        assert_eq!(db.catalog_version(), version, "no-op DML mutates nothing");
+
+        let r = db.execute("UPDATE t SET i = i * 2").unwrap();
+        assert!(matches!(r, QueryResult::Affected { rows: 5, .. }), "{r:?}");
+        assert_eq!(
+            column_values(&db, "t", 0),
+            [2, 4, 6, 8, 10].map(SqlValue::Int).to_vec()
+        );
+        let r = db.execute("DELETE FROM t").unwrap();
+        assert!(matches!(r, QueryResult::Affected { rows: 5, .. }), "{r:?}");
+        assert_eq!(db.get_table("t").unwrap().row_count(), 0);
+        assert!(db.catalog_version() > version);
+    }
+
+    #[test]
+    fn delete_compacts_every_column_and_its_null_mask() {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (i INTEGER, s STRING)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, NULL), (3, 'c'), (4, NULL)")
+            .unwrap();
+        db.execute("DELETE FROM t WHERE i = 1 OR i = 4").unwrap();
+        assert_eq!(
+            column_values(&db, "t", 0),
+            vec![SqlValue::Int(2), SqlValue::Int(3)]
+        );
+        assert_eq!(
+            column_values(&db, "t", 1),
+            vec![SqlValue::Null, SqlValue::Str("c".into())]
+        );
     }
 
     #[test]

@@ -491,7 +491,7 @@ fn apply_binary(op: BinaryOp, l: Evaluated, r: Evaluated) -> Result<Evaluated, D
                 (_, Some(b)) => b,
                 _ => unreachable!("scalar/scalar handled above"),
             };
-            if let Some(done) = binary_fast(op, &l, &r, len) {
+            if let Some(done) = binary_fast(op, &l, &r) {
                 return done;
             }
             let mut out = Vec::with_capacity(len);
@@ -503,188 +503,232 @@ fn apply_binary(op: BinaryOp, l: Evaluated, r: Evaluated) -> Result<Evaluated, D
     }
 }
 
-/// Typed view of a NULL-free numeric operand for the columnar fast path.
-enum NumOperand<'a> {
-    IntCol(&'a [i64]),
-    FloatCol(&'a [f64]),
-    IntScalar(i64),
-    FloatScalar(f64),
+/// One side of a typed kernel: a NULL-free column slice or a broadcast
+/// scalar.
+#[derive(Clone, Copy)]
+enum Operand<'a, T> {
+    Col(&'a [T]),
+    Scalar(T),
 }
 
-impl NumOperand<'_> {
-    fn is_int(&self) -> bool {
-        matches!(self, NumOperand::IntCol(_) | NumOperand::IntScalar(_))
-    }
+/// Typed view of a NULL-free numeric operand for the columnar fast path.
+#[derive(Clone, Copy)]
+enum NumOperand<'a> {
+    Int(Operand<'a, i64>),
+    Float(Operand<'a, f64>),
+}
 
-    fn int_at(&self, i: usize) -> i64 {
-        match self {
-            NumOperand::IntCol(v) => v[i],
-            NumOperand::IntScalar(k) => *k,
-            _ => unreachable!("int_at on a float operand"),
-        }
-    }
+/// Element types the kernels accept; comparisons and mixed arithmetic
+/// promote through `f64`, like [`cmp_sql`] and [`binary_values`].
+trait Num: Copy {
+    fn to_f64(self) -> f64;
+}
 
-    fn f64_at(&self, i: usize) -> f64 {
-        match self {
-            NumOperand::IntCol(v) => v[i] as f64,
-            NumOperand::FloatCol(v) => v[i],
-            NumOperand::IntScalar(k) => *k as f64,
-            NumOperand::FloatScalar(d) => *d,
-        }
+impl Num for i64 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Num for f64 {
+    fn to_f64(self) -> f64 {
+        self
     }
 }
 
 fn num_operand(v: &Evaluated) -> Option<NumOperand<'_>> {
+    use crate::types::ColumnData;
     match v {
-        Evaluated::Scalar(SqlValue::Int(i)) => Some(NumOperand::IntScalar(*i)),
+        Evaluated::Scalar(SqlValue::Int(i)) => Some(NumOperand::Int(Operand::Scalar(*i))),
         // Booleans count as 0/1 integers, matching `as_int`.
-        Evaluated::Scalar(SqlValue::Bool(b)) => Some(NumOperand::IntScalar(*b as i64)),
-        Evaluated::Scalar(SqlValue::Double(d)) => Some(NumOperand::FloatScalar(*d)),
+        Evaluated::Scalar(SqlValue::Bool(b)) => Some(NumOperand::Int(Operand::Scalar(*b as i64))),
+        Evaluated::Scalar(SqlValue::Double(d)) => Some(NumOperand::Float(Operand::Scalar(*d))),
         Evaluated::Column(c) if !c.has_nulls() => match &c.data {
-            crate::types::ColumnData::Int(v) => Some(NumOperand::IntCol(v)),
-            crate::types::ColumnData::Double(v) => Some(NumOperand::FloatCol(v)),
+            ColumnData::Int(v) => Some(NumOperand::Int(Operand::Col(v))),
+            ColumnData::Double(v) => Some(NumOperand::Float(Operand::Col(v))),
             _ => None,
         },
         _ => None,
     }
 }
 
+/// Apply `f` elementwise. The operand shape is matched once, so each arm
+/// is a tight slice loop the compiler specializes per kernel.
+#[inline(always)]
+fn map2<A: Copy, B: Copy, T>(a: Operand<A>, b: Operand<B>, f: impl Fn(A, B) -> T) -> Vec<T> {
+    match (a, b) {
+        (Operand::Col(x), Operand::Col(y)) => x.iter().zip(y).map(|(&x, &y)| f(x, y)).collect(),
+        (Operand::Col(x), Operand::Scalar(k)) => x.iter().map(|&x| f(x, k)).collect(),
+        (Operand::Scalar(k), Operand::Col(y)) => y.iter().map(|&y| f(k, y)).collect(),
+        (Operand::Scalar(_), Operand::Scalar(_)) => {
+            unreachable!("apply_binary evaluates scalar pairs directly")
+        }
+    }
+}
+
+/// [`map2`] for fallible kernels: stops at the first failing row, in row
+/// order, exactly like the generic rowwise loop.
+#[inline(always)]
+fn try_map2<A: Copy, B: Copy, T>(
+    a: Operand<A>,
+    b: Operand<B>,
+    f: impl Fn(A, B) -> Result<T, DbError>,
+) -> Result<Vec<T>, DbError> {
+    let mut out = Vec::new();
+    match (a, b) {
+        (Operand::Col(x), Operand::Col(y)) => {
+            out.reserve(x.len());
+            for (&x, &y) in x.iter().zip(y) {
+                out.push(f(x, y)?);
+            }
+        }
+        (Operand::Col(x), Operand::Scalar(k)) => {
+            out.reserve(x.len());
+            for &x in x {
+                out.push(f(x, k)?);
+            }
+        }
+        (Operand::Scalar(k), Operand::Col(y)) => {
+            out.reserve(y.len());
+            for &y in y {
+                out.push(f(k, y)?);
+            }
+        }
+        (Operand::Scalar(_), Operand::Scalar(_)) => {
+            unreachable!("apply_binary evaluates scalar pairs directly")
+        }
+    }
+    Ok(out)
+}
+
+/// Comparison kernel: every numeric pair is ordered through `f64`, and an
+/// unordered pair (NaN) counts as equal, mirroring [`cmp_sql`].
+fn compare<A: Num, B: Num>(op: BinaryOp, a: Operand<A>, b: Operand<B>) -> Vec<bool> {
+    use BinaryOp::*;
+    let ord = |x: A, y: B| {
+        x.to_f64()
+            .partial_cmp(&y.to_f64())
+            .unwrap_or(Ordering::Equal)
+    };
+    match op {
+        Eq => map2(a, b, |x, y| ord(x, y) == Ordering::Equal),
+        NotEq => map2(a, b, |x, y| ord(x, y) != Ordering::Equal),
+        Lt => map2(a, b, |x, y| ord(x, y) == Ordering::Less),
+        Le => map2(a, b, |x, y| ord(x, y) != Ordering::Greater),
+        Gt => map2(a, b, |x, y| ord(x, y) == Ordering::Greater),
+        Ge => map2(a, b, |x, y| ord(x, y) != Ordering::Less),
+        _ => unreachable!("compare() is only called with a comparison"),
+    }
+}
+
+/// Checked integer arithmetic with [`binary_values`]' error strings.
+/// `None` leaves the shape to the generic path.
+fn int_arith(op: BinaryOp, a: Operand<i64>, b: Operand<i64>) -> Option<Result<Vec<i64>, DbError>> {
+    use BinaryOp::*;
+    Some(match op {
+        Add => try_map2(a, b, |x, y| x.checked_add(y).ok_or_else(overflow)),
+        Sub => try_map2(a, b, |x, y| x.checked_sub(y).ok_or_else(overflow)),
+        Mul => try_map2(a, b, |x, y| x.checked_mul(y).ok_or_else(overflow)),
+        Div => try_map2(a, b, |x, y| {
+            if y == 0 {
+                return Err(DbError::exec("division by zero"));
+            }
+            x.checked_div(y).ok_or_else(overflow)
+        }),
+        Mod => try_map2(a, b, |x, y| {
+            if y == 0 {
+                return Err(DbError::exec("modulo by zero"));
+            }
+            x.checked_rem(y).ok_or_else(overflow)
+        }),
+        FloorDiv => try_map2(a, b, |x, y| {
+            if y == 0 {
+                return Err(DbError::exec("integer division by zero"));
+            }
+            x.checked_div_euclid(y).ok_or_else(overflow)
+        }),
+        FloorMod => try_map2(a, b, |x, y| {
+            if y == 0 {
+                return Err(DbError::exec("modulo by zero"));
+            }
+            x.checked_rem_euclid(y).ok_or_else(overflow)
+        }),
+        // Pow with a columnar or negative exponent can go float per row;
+        // leave those shapes to the generic path.
+        Pow if matches!(b, Operand::Scalar(e) if e >= 0) => try_map2(a, b, |x, y| {
+            let exp = u32::try_from(y).map_err(|_| DbError::exec("exponent too large"))?;
+            x.checked_pow(exp).ok_or_else(overflow)
+        }),
+        _ => return None,
+    })
+}
+
+/// Float arithmetic over any Int/Double mix (ints promote to `f64`).
+fn float_arith<A: Num, B: Num>(
+    op: BinaryOp,
+    a: Operand<A>,
+    b: Operand<B>,
+) -> Option<Result<Vec<f64>, DbError>> {
+    use BinaryOp::*;
+    let nonzero = |y: f64, msg: &'static str| {
+        if y == 0.0 {
+            Err(DbError::exec(msg))
+        } else {
+            Ok(y)
+        }
+    };
+    Some(match op {
+        Add => Ok(map2(a, b, |x, y| x.to_f64() + y.to_f64())),
+        Sub => Ok(map2(a, b, |x, y| x.to_f64() - y.to_f64())),
+        Mul => Ok(map2(a, b, |x, y| x.to_f64() * y.to_f64())),
+        Div => try_map2(a, b, |x, y| {
+            Ok(x.to_f64() / nonzero(y.to_f64(), "division by zero")?)
+        }),
+        Mod => try_map2(a, b, |x, y| {
+            Ok(x.to_f64() % nonzero(y.to_f64(), "modulo by zero")?)
+        }),
+        FloorDiv => try_map2(a, b, |x, y| {
+            let y = nonzero(y.to_f64(), "float floor division by zero")?;
+            Ok((x.to_f64() / y).floor())
+        }),
+        FloorMod => try_map2(a, b, |x, y| {
+            let (x, y) = (x.to_f64(), nonzero(y.to_f64(), "float modulo by zero")?);
+            Ok(x - y * (x / y).floor())
+        }),
+        Pow => Ok(map2(a, b, |x, y| x.to_f64().powf(y.to_f64()))),
+        _ => return None,
+    })
+}
+
 /// Columnar fast path over NULL-free numeric operands: same semantics and
 /// error strings as [`binary_values`], without boxing each element into
-/// `SqlValue`. Returns `None` to fall back to the generic rowwise loop.
-fn binary_fast(
-    op: BinaryOp,
-    l: &Evaluated,
-    r: &Evaluated,
-    len: usize,
-) -> Option<Result<Evaluated, DbError>> {
+/// `SqlValue`. The (operand shape × op) dispatch happens here, once, so
+/// each kernel loop is a plain slice iteration. Returns `None` to fall
+/// back to the generic rowwise loop.
+fn binary_fast(op: BinaryOp, l: &Evaluated, r: &Evaluated) -> Option<Result<Evaluated, DbError>> {
+    use crate::types::ColumnData;
     use BinaryOp::*;
+    use NumOperand::{Float, Int};
     if matches!(op, And | Or) {
         return None;
     }
-    let a = num_operand(l)?;
-    let b = num_operand(r)?;
-    let name = op.symbol();
-
-    // Comparisons mirror cmp_sql: every numeric pair is ordered through f64.
-    if matches!(op, Eq | NotEq | Lt | Le | Gt | Ge) {
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            let ord = a
-                .f64_at(i)
-                .partial_cmp(&b.f64_at(i))
-                .unwrap_or(Ordering::Equal);
-            out.push(match op {
-                Eq => ord == Ordering::Equal,
-                NotEq => ord != Ordering::Equal,
-                Lt => ord == Ordering::Less,
-                Le => ord != Ordering::Greater,
-                Gt => ord == Ordering::Greater,
-                Ge => ord != Ordering::Less,
-                _ => unreachable!(),
-            });
+    let (a, b) = (num_operand(l)?, num_operand(r)?);
+    let data = if matches!(op, Eq | NotEq | Lt | Le | Gt | Ge) {
+        Ok(ColumnData::Bool(match (a, b) {
+            (Int(x), Int(y)) => compare(op, x, y),
+            (Int(x), Float(y)) => compare(op, x, y),
+            (Float(x), Int(y)) => compare(op, x, y),
+            (Float(x), Float(y)) => compare(op, x, y),
+        }))
+    } else {
+        match (a, b) {
+            (Int(x), Int(y)) => int_arith(op, x, y)?.map(ColumnData::Int),
+            (Int(x), Float(y)) => float_arith(op, x, y)?.map(ColumnData::Double),
+            (Float(x), Int(y)) => float_arith(op, x, y)?.map(ColumnData::Double),
+            (Float(x), Float(y)) => float_arith(op, x, y)?.map(ColumnData::Double),
         }
-        return Some(Ok(Evaluated::Column(Column::new(
-            name,
-            crate::types::ColumnData::Bool(out),
-        ))));
-    }
-
-    if a.is_int() && b.is_int() {
-        // Pow with a columnar or negative exponent can go float per row;
-        // leave those shapes to the generic path.
-        if op == Pow && !matches!(b, NumOperand::IntScalar(e) if e >= 0) {
-            return None;
-        }
-        let kernel: fn(i64, i64) -> Result<i64, DbError> = match op {
-            Add => |x, y| x.checked_add(y).ok_or_else(overflow),
-            Sub => |x, y| x.checked_sub(y).ok_or_else(overflow),
-            Mul => |x, y| x.checked_mul(y).ok_or_else(overflow),
-            Div => |x, y| {
-                if y == 0 {
-                    return Err(DbError::exec("division by zero"));
-                }
-                x.checked_div(y).ok_or_else(overflow)
-            },
-            Mod => |x, y| {
-                if y == 0 {
-                    return Err(DbError::exec("modulo by zero"));
-                }
-                x.checked_rem(y).ok_or_else(overflow)
-            },
-            FloorDiv => |x, y| {
-                if y == 0 {
-                    return Err(DbError::exec("integer division by zero"));
-                }
-                x.checked_div_euclid(y).ok_or_else(overflow)
-            },
-            FloorMod => |x, y| {
-                if y == 0 {
-                    return Err(DbError::exec("modulo by zero"));
-                }
-                x.checked_rem_euclid(y).ok_or_else(overflow)
-            },
-            Pow => |x, y| {
-                let exp = u32::try_from(y).map_err(|_| DbError::exec("exponent too large"))?;
-                x.checked_pow(exp).ok_or_else(overflow)
-            },
-            _ => return None,
-        };
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            match kernel(a.int_at(i), b.int_at(i)) {
-                Ok(v) => out.push(v),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        return Some(Ok(Evaluated::Column(Column::new(
-            name,
-            crate::types::ColumnData::Int(out),
-        ))));
-    }
-
-    let kernel: fn(f64, f64) -> Result<f64, DbError> = match op {
-        Add => |x, y| Ok(x + y),
-        Sub => |x, y| Ok(x - y),
-        Mul => |x, y| Ok(x * y),
-        Div => |x, y| {
-            if y == 0.0 {
-                return Err(DbError::exec("division by zero"));
-            }
-            Ok(x / y)
-        },
-        Mod => |x, y| {
-            if y == 0.0 {
-                return Err(DbError::exec("modulo by zero"));
-            }
-            Ok(x % y)
-        },
-        FloorDiv => |x, y| {
-            if y == 0.0 {
-                return Err(DbError::exec("float floor division by zero"));
-            }
-            Ok((x / y).floor())
-        },
-        FloorMod => |x, y| {
-            if y == 0.0 {
-                return Err(DbError::exec("float modulo by zero"));
-            }
-            Ok(x - y * (x / y).floor())
-        },
-        Pow => |x, y| Ok(x.powf(y)),
-        _ => return None,
     };
-    let mut out = Vec::with_capacity(len);
-    for i in 0..len {
-        match kernel(a.f64_at(i), b.f64_at(i)) {
-            Ok(v) => out.push(v),
-            Err(e) => return Some(Err(e)),
-        }
-    }
-    Some(Ok(Evaluated::Column(Column::new(
-        name,
-        crate::types::ColumnData::Double(out),
-    ))))
+    Some(data.map(|d| Evaluated::Column(Column::new(op.symbol(), d))))
 }
 
 /// Scalar binary operation with SQL NULL propagation.
@@ -887,9 +931,17 @@ pub fn predicate_mask(
             if c.len() != table.row_count() {
                 return Err(DbError::exec("predicate length mismatch"));
             }
-            Ok((0..c.len())
-                .map(|i| matches!(c.get(i), SqlValue::Bool(true)))
-                .collect())
+            // Only a TRUE boolean keeps a row: a Bool vector is the mask
+            // as is (NULL rows cleared), any other type keeps nothing.
+            Ok(match c.data {
+                crate::types::ColumnData::Bool(mut keep) => {
+                    for (k, null) in keep.iter_mut().zip(&c.nulls) {
+                        *k &= !null;
+                    }
+                    keep
+                }
+                _ => vec![false; c.len()],
+            })
         }
     }
 }
@@ -1355,6 +1407,7 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use devharness::prop::{self, Config, Strategy};
 
     #[test]
     fn like_patterns() {
@@ -1397,6 +1450,161 @@ mod tests {
             SqlValue::Str("ab".into())
         );
         assert!(binary_values(Div, &SqlValue::Int(1), &SqlValue::Int(0)).is_err());
+        let overflow = |op, a, b| binary_values(op, &SqlValue::Int(a), &SqlValue::Int(b));
+        assert_eq!(
+            overflow(Add, i64::MAX, 1).unwrap_err().message,
+            "integer overflow"
+        );
+        assert_eq!(
+            overflow(Div, i64::MIN, -1).unwrap_err().message,
+            "integer overflow"
+        );
+        // Above 2^53, comparisons order through f64: adjacent integers tie.
+        let big = 1i64 << 53;
+        assert_eq!(
+            binary_values(Eq, &SqlValue::Int(big), &SqlValue::Int(big + 1)).unwrap(),
+            SqlValue::Bool(true)
+        );
+        // NaN is unordered and therefore compares "equal"; -0.0 == 0.0.
+        let nan = SqlValue::Double(f64::NAN);
+        assert_eq!(
+            binary_values(Eq, &nan, &SqlValue::Int(3)).unwrap(),
+            SqlValue::Bool(true)
+        );
+        assert_eq!(
+            binary_values(Lt, &SqlValue::Double(-0.0), &SqlValue::Double(0.0)).unwrap(),
+            SqlValue::Bool(false)
+        );
+    }
+
+    /// Values at the kernels' edges: integer limits, integers f64 cannot
+    /// represent exactly, NaN, signed zeros and infinities.
+    fn edge_value() -> impl Strategy<Value = SqlValue> {
+        let big = 1i64 << 53;
+        let ints = [
+            i64::MIN,
+            i64::MIN + 1,
+            -1,
+            0,
+            1,
+            2,
+            3,
+            big,
+            big + 1,
+            i64::MAX,
+        ];
+        let doubles = [f64::NAN, -0.0, 0.0, 0.5, -2.5, 1e300, f64::INFINITY];
+        prop::one_of(vec![
+            prop::i64_in(-50..50).map(|v| SqlValue::Int(*v)).boxed(),
+            prop::usize_in(0..ints.len())
+                .map(move |i| SqlValue::Int(ints[*i]))
+                .boxed(),
+            prop::i64_in(-50..50)
+                .map(|v| SqlValue::Double(*v as f64 / 4.0))
+                .boxed(),
+            prop::usize_in(0..doubles.len())
+                .map(move |i| SqlValue::Double(doubles[*i]))
+                .boxed(),
+        ])
+    }
+
+    fn same_value(a: &SqlValue, b: &SqlValue) -> bool {
+        match (a, b) {
+            (SqlValue::Double(x), SqlValue::Double(y)) => {
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+            }
+            _ => a == b,
+        }
+    }
+
+    /// Differential check of every typed `binary_fast` shape (col×scalar,
+    /// scalar×col, col×col; Int/Double mixes; every comparison and
+    /// arithmetic op) against `binary_values` applied row by row: same
+    /// values, bit for bit, and the same first error in row order.
+    #[test]
+    fn typed_kernels_match_rowwise_binary_values() {
+        use BinaryOp::*;
+        const OPS: [BinaryOp; 14] = [
+            Eq, NotEq, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod, FloorDiv, FloorMod, Pow,
+        ];
+        // A side is (Int-typed?, Bool scalar?, values); a column takes one
+        // type throughout, a scalar side uses the first value.
+        let side = || {
+            (
+                prop::any_bool(),
+                prop::any_bool(),
+                prop::vec_of(edge_value(), 1..6),
+            )
+        };
+        let strategy = (
+            prop::usize_in(0..OPS.len()),
+            side(),
+            side(),
+            prop::usize_in(0..3),
+        );
+        let operand = |(is_int, as_bool, values): &(bool, bool, Vec<SqlValue>), col, n| {
+            let typed: Vec<SqlValue> = values[..n]
+                .iter()
+                .map(|v| match (v, is_int) {
+                    (SqlValue::Int(i), false) => SqlValue::Double(*i as f64),
+                    (SqlValue::Double(d), true) => SqlValue::Int(*d as i64),
+                    _ => v.clone(),
+                })
+                .collect();
+            if col {
+                Evaluated::Column(Column::from_values("c", &typed).unwrap())
+            } else if *as_bool && *is_int {
+                Evaluated::Scalar(SqlValue::Bool(typed[0] == SqlValue::Int(1)))
+            } else {
+                Evaluated::Scalar(typed[0].clone())
+            }
+        };
+        prop::check(Config::cases(4096), strategy, |(op, l, r, shape)| {
+            // shape 0: col×scalar, 1: scalar×col, 2: col×col.
+            let n = l.2.len().min(r.2.len());
+            let (a, b) = (operand(l, *shape != 1, n), operand(r, *shape != 0, n));
+            check_shape(OPS[*op], &a, &b, n)
+        });
+    }
+
+    fn check_shape(op: BinaryOp, a: &Evaluated, b: &Evaluated, len: usize) -> Result<(), String> {
+        let rowwise: Result<Vec<SqlValue>, DbError> = (0..len)
+            .map(|i| binary_values(op, &a.get(i), &b.get(i)))
+            .collect();
+        let Some(fast) = binary_fast(op, a, b) else {
+            // Only integer Pow without a non-negative scalar exponent
+            // falls back; everything else must take a typed kernel.
+            let int_pow = op == BinaryOp::Pow
+                && [a, b].iter().all(|e| match e {
+                    Evaluated::Column(c) => c.sql_type() == crate::types::SqlType::Integer,
+                    Evaluated::Scalar(s) => matches!(s, SqlValue::Int(_) | SqlValue::Bool(_)),
+                });
+            return if int_pow {
+                Ok(())
+            } else {
+                Err(format!("{op:?} fell back on {a:?} / {b:?}"))
+            };
+        };
+        match (fast, rowwise) {
+            (Ok(Evaluated::Column(got)), Ok(want)) => {
+                if got.len() != len {
+                    return Err(format!("{op:?}: {} rows, expected {len}", got.len()));
+                }
+                for (i, w) in want.iter().enumerate() {
+                    if !same_value(&got.get(i), w) {
+                        return Err(format!(
+                            "{op:?} row {i} on {a:?} / {b:?}: fast {:?}, rowwise {w:?}",
+                            got.get(i)
+                        ));
+                    }
+                }
+                Ok(())
+            }
+            (Err(got), Err(want)) if got.message == want.message && got.code == want.code => Ok(()),
+            (got, want) => Err(format!(
+                "{op:?} on {a:?} / {b:?}: fast {got:?}, rowwise {want:?}"
+            )),
+        }
     }
 
     #[test]

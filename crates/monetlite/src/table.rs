@@ -51,19 +51,21 @@ impl Table {
     }
 
     /// Mutable access to the column vector (copy-on-write: clones the storage
-    /// only if a snapshot still shares it).
+    /// only if a snapshot still shares it). Every such copy adds the bytes
+    /// it duplicated to the `monet.table.cow_bytes` counter.
     pub fn columns_mut(&mut self) -> &mut Vec<Column> {
-        Arc::make_mut(&mut self.columns)
+        let shared = Arc::as_ptr(&self.columns);
+        let columns = Arc::make_mut(&mut self.columns);
+        if !std::ptr::eq(shared, columns) {
+            let copied: usize = columns.iter().map(Column::heap_bytes).sum();
+            obs::counter!("monet.table.cow_bytes").add(copied as u64);
+        }
+        columns
     }
 
     /// Take ownership of the column vector, cloning only if shared.
     pub fn into_columns(self) -> Vec<Column> {
         Arc::try_unwrap(self.columns).unwrap_or_else(|shared| (*shared).clone())
-    }
-
-    /// Replace the column vector wholesale (bulk rewrites like UPDATE).
-    pub fn set_columns(&mut self, columns: Vec<Column>) {
-        self.columns = Arc::new(columns);
     }
 
     /// Number of rows (0 for a table with no columns).

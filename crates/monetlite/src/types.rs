@@ -271,6 +271,74 @@ impl Column {
         Ok(())
     }
 
+    /// Overwrite row `row` in place, coercing to the column's type — the
+    /// in-place counterpart of [`Column::push`]. NULL sets the mask bit
+    /// (materializing the mask lazily) over a zeroed slot; a value clears
+    /// it. Caller bounds-checks.
+    pub(crate) fn set(&mut self, row: usize, value: &SqlValue) -> Result<(), DbError> {
+        if value.is_null() {
+            if self.nulls.len() < self.len() {
+                self.nulls.resize(self.len(), false);
+            }
+            self.nulls[row] = true;
+            match &mut self.data {
+                ColumnData::Int(v) => v[row] = 0,
+                ColumnData::Double(v) => v[row] = 0.0,
+                ColumnData::Str(v) => v[row] = String::new(),
+                ColumnData::Bool(v) => v[row] = false,
+                ColumnData::Blob(v) => v[row] = Vec::new(),
+            }
+            return Ok(());
+        }
+        let coerced = value.coerce(self.sql_type())?;
+        if let Some(null) = self.nulls.get_mut(row) {
+            *null = false;
+        }
+        match (&mut self.data, coerced) {
+            (ColumnData::Int(v), SqlValue::Int(x)) => v[row] = x,
+            (ColumnData::Double(v), SqlValue::Double(x)) => v[row] = x,
+            (ColumnData::Str(v), SqlValue::Str(x)) => v[row] = x,
+            (ColumnData::Bool(v), SqlValue::Bool(x)) => v[row] = x,
+            (ColumnData::Blob(v), SqlValue::Blob(x)) => v[row] = x,
+            _ => unreachable!("coerce() returned a matching variant"),
+        }
+        Ok(())
+    }
+
+    /// Keep only rows where `keep[i]` is true, compacting in place (the
+    /// in-place counterpart of [`Column::filter`]).
+    pub(crate) fn retain_mask(&mut self, keep: &[bool]) {
+        fn retain<T>(v: &mut Vec<T>, keep: &[bool]) {
+            // `Vec::retain` visits every element once, in order.
+            let mut keep = keep.iter();
+            v.retain(|_| keep.next().copied().unwrap_or(true));
+        }
+        match &mut self.data {
+            ColumnData::Int(v) => retain(v, keep),
+            ColumnData::Double(v) => retain(v, keep),
+            ColumnData::Str(v) => retain(v, keep),
+            ColumnData::Bool(v) => retain(v, keep),
+            ColumnData::Blob(v) => retain(v, keep),
+        }
+        retain(&mut self.nulls, keep);
+    }
+
+    /// Bytes of row storage: the value vector, string/blob payloads and
+    /// the NULL mask (what a deep copy of the column allocates).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn vec_bytes<T>(v: &[T]) -> usize {
+            std::mem::size_of_val(v)
+        }
+        let payload = match &self.data {
+            ColumnData::Int(v) => vec_bytes(v),
+            ColumnData::Double(v) => vec_bytes(v),
+            ColumnData::Bool(v) => vec_bytes(v),
+            ColumnData::Str(v) => vec_bytes(v) + v.iter().map(String::len).sum::<usize>(),
+            ColumnData::Blob(v) => vec_bytes(v) + v.iter().map(Vec::len).sum::<usize>(),
+        };
+        payload + vec_bytes(&self.nulls)
+    }
+
     /// Build a column from scalar values, inferring the type from the first
     /// non-null value (NULL-only columns default to INTEGER).
     pub fn from_values(name: impl Into<String>, values: &[SqlValue]) -> Result<Column, DbError> {

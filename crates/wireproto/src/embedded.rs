@@ -8,14 +8,14 @@
 //! [`Embedded`] implements it by calling [`monetlite::Engine`] directly
 //! in the same process — no frames, no pickling, no socket.
 //!
-//! The embedded transport keeps the wire server's read/write discipline:
-//! each call is classified with the same [`monetlite::classify_sql`] /
-//! [`monetlite::classify_extract`] the PR-9 `ServerCore` router uses, and
-//! reads run against an epoch-stamped snapshot engine (hydrated lazily,
-//! cached until the live catalog's version moves) while writes go to the
-//! live engine. That makes the embedded path behaviourally identical to
-//! the server's scheduler — a query routed differently would be a bug a
-//! differential test can catch.
+//! Every call runs on the live engine. The wire server splits reads
+//! onto snapshot-hydrated workers because many sessions share one
+//! engine; an [`Embedded`] has exactly one caller, and every call takes
+//! `&mut self`, so no read can ever overlap a write and there is nothing
+//! to isolate. Skipping the snapshot also keeps reads from pinning the
+//! table storage a later write would otherwise have to copy, so a write
+//! after a read costs what the write touches (DESIGN §17). Errors go
+//! through the same [`WireError::from_db`] mapping as server dispatch.
 //!
 //! What embedding deliberately skips: the three transfer options.
 //! Compression and encryption protect bytes **on the wire**, and
@@ -46,7 +46,7 @@
 //! assert_eq!(stats.wire_len, 0);
 //! ```
 
-use monetlite::{classify_extract, classify_sql, CommandClass, Engine};
+use monetlite::Engine;
 use pylite::Value;
 
 use crate::client::{Client, FunctionInfo};
@@ -129,14 +129,9 @@ impl EngineTransport for Client {
 }
 
 /// The in-process transport: a [`monetlite::Engine`] called directly,
-/// with the wire server's read/write classification and snapshot-read
-/// discipline (see the module docs).
+/// reads and writes alike (see the module docs).
 pub struct Embedded {
     engine: Engine,
-    /// Cached hydrated reader, keyed by the snapshot epoch it was built
-    /// from — the embedded analogue of the server's per-thread reader
-    /// cache.
-    reader: Option<(u64, Engine)>,
     last_udf_stdout: String,
 }
 
@@ -150,7 +145,6 @@ impl Embedded {
     pub fn from_engine(engine: Engine) -> Embedded {
         Embedded {
             engine,
-            reader: None,
             last_udf_stdout: String::new(),
         }
     }
@@ -171,33 +165,15 @@ impl Embedded {
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
-
-    /// The engine a read may run on: a private engine hydrated from the
-    /// current snapshot, rebuilt only when the live catalog moved.
-    fn reader_engine(&mut self) -> Engine {
-        let epoch = self.engine.catalog_version();
-        match &self.reader {
-            Some((cached, engine)) if *cached == epoch => engine.clone(),
-            _ => {
-                let engine = self.engine.snapshot().hydrate();
-                self.reader = Some((epoch, engine.clone()));
-                engine
-            }
-        }
-    }
 }
 
 impl EngineTransport for Embedded {
     fn query(&mut self, sql: &str) -> Result<WireResult, WireError> {
         obs::counter!("wire.embedded.queries").inc();
-        let engine = match self.engine.with_catalog(|c| classify_sql(sql, c)) {
-            CommandClass::Write => self.engine.clone(),
-            CommandClass::Read => self.reader_engine(),
-        };
-        match engine.execute(sql) {
+        match self.engine.execute(sql) {
             Ok(result) => {
                 // Mirrors the wire: stdout rides only a successful reply.
-                self.last_udf_stdout = engine.take_udf_stdout();
+                self.last_udf_stdout = self.engine.take_udf_stdout();
                 Ok(WireResult::from_query_result(&result))
             }
             Err(e) => Err(WireError::from_db(&e)),
@@ -264,14 +240,8 @@ impl EngineTransport for Embedded {
         _options: TransferOptions,
     ) -> Result<(Value, TransferStats), WireError> {
         obs::counter!("wire.embedded.extracts").inc();
-        let engine = match self
+        let value = self
             .engine
-            .with_catalog(|c| classify_extract(query, udf, c))
-        {
-            CommandClass::Write => self.engine.clone(),
-            CommandClass::Read => self.reader_engine(),
-        };
-        let value = engine
             .extract_inputs(query, udf)
             .map_err(|e| WireError::from_db(&e))?;
         // Zero-serialization: the value never left the process, so both
@@ -327,26 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn reads_run_on_a_cached_snapshot_reader() {
+    fn reads_run_on_the_live_engine_and_pin_nothing() {
         let mut db = seeded();
         db.query("SELECT i FROM t").unwrap();
-        let (epoch1, reader1) = {
-            let (e, r) = db.reader.as_ref().expect("reader cached");
-            (*e, r.clone())
-        };
-        // A second read at the same epoch reuses the same hydrated engine.
-        db.query("SELECT i FROM t").unwrap();
-        let (epoch2, reader2) = {
-            let (e, r) = db.reader.as_ref().unwrap();
-            (*e, r.clone())
-        };
-        assert_eq!(epoch1, epoch2);
-        assert_eq!(reader1.catalog_version(), reader2.catalog_version());
-        // A write moves the live epoch; the next read re-hydrates.
         db.query("INSERT INTO t VALUES (9)").unwrap();
         let t = db.query("SELECT i FROM t").unwrap().into_table().unwrap();
-        assert_eq!(t.rows.len(), 4);
-        assert!(db.reader.as_ref().unwrap().0 > epoch2);
+        assert_eq!(t.rows.len(), 4, "a read sees the latest write");
+        // Nothing was hydrated: besides this probe's clone, the live
+        // catalog is the only holder of the table's storage, so the next
+        // write mutates it in place.
+        let table = db.engine().get_table("t").unwrap();
+        assert_eq!(std::sync::Arc::strong_count(&table.columns), 2);
     }
 
     #[test]
@@ -392,6 +353,11 @@ mod tests {
         db.query("SELECT noisy(i) FROM t").unwrap();
         assert!(db.last_udf_stdout().contains("hi"));
         db.query("SELECT i FROM t").unwrap();
+        assert_eq!(db.last_udf_stdout(), "");
+        // A failed statement's prints never ride a later reply: here the
+        // UDF prints, then the division fails.
+        assert!(db.query("SELECT noisy(i) / 0 FROM t").is_err());
+        db.query("INSERT INTO t VALUES (4)").unwrap();
         assert_eq!(db.last_udf_stdout(), "");
     }
 

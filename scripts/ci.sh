@@ -67,8 +67,12 @@ echo "digests identical"
 #  - the embedded transport must keep beating the TCP wire on input
 #    extraction (committed BENCH_embedded.json documents >=5x on 200k
 #    rows; live floor 2x — an embedded path that starts serializing
-#    again lands near 1x).
-echo "==> bench guards (transfer codec + bytecode VM + UDF inlining + observability + concurrency + embedded)"
+#    again lands near 1x);
+#  - a write must pay for the rows it touches (committed
+#    BENCH_write_path.json): an embedded single-row INSERT after a read
+#    at 200k rows within 2x of the same at 1k rows, and a point UPDATE
+#    at 200k rows within 3x of the scan that finds its row.
+echo "==> bench guards (transfer codec + bytecode VM + UDF inlining + observability + concurrency + embedded + write path)"
 cargo run --offline --release -q -p devudf-bench --bin bench_guard
 
 # Embedded-mode smoke, no server anywhere: create a persistent data
