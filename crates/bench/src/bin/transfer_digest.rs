@@ -1,13 +1,16 @@
 //! Print FNV-1a digests of the bytes-on-wire for a deterministic extract
-//! payload across every transfer-option combination.
+//! across every transfer-option combination: the `DeltaBlocks` reply the
+//! server sends to a cold `ExtractDelta` request (every block shipped,
+//! plus the full digest table).
 //!
 //! CI runs this twice — `DEVUDF_POOL_THREADS=1` and the default pool —
-//! and diffs the output: the chunked container must be byte-identical
-//! regardless of how many workers encoded it (DESIGN.md §11).
+//! and diffs the output: the reply must be byte-identical regardless of
+//! how many workers digested and coded its blocks (DESIGN.md §11).
 
 use pylite::value::Dict;
 use pylite::{Array, Value};
-use wireproto::transfer::encode_payload;
+use wireproto::message::Message;
+use wireproto::transfer::{block_digests_pooled, encode_delta_blocks, pickle_inputs};
 use wireproto::TransferOptions;
 
 /// Deterministic inputs large enough to span many 64 KiB blocks.
@@ -23,7 +26,8 @@ fn inputs() -> Value {
 }
 
 fn main() {
-    let inputs = inputs();
+    let raw = pickle_inputs(&inputs()).expect("deterministic inputs must pickle");
+    let pool = devharness::pool::global();
     for (label, compress, encrypt) in [
         ("plain", false, false),
         ("compressed", true, false),
@@ -37,13 +41,25 @@ fn main() {
                 ..Default::default()
             }
             .with_block_size(block_size);
-            let (payload, raw_len) = encode_payload(&inputs, &options, "monetdb", 7, 11)
-                .expect("deterministic payload must encode");
+            let transfer_id = 7;
+            let digests = block_digests_pooled(pool, &raw, block_size);
+            let ship = vec![true; digests.len()];
+            let blocks = encode_delta_blocks(pool, &raw, &options, "monetdb", transfer_id, &ship);
+            let reply = Message::DeltaBlocks {
+                options,
+                transfer_id,
+                raw_len: raw.len() as u64,
+                epochs: Vec::new(),
+                digests,
+                blocks,
+            }
+            .encode();
             println!(
-                "{label}/{}k raw={raw_len} wire={} fnv1a={:08x}",
+                "{label}/{}k raw={} wire={} fnv1a={:08x}",
                 block_size / 1024,
-                payload.len(),
-                codecs::fnv1a_32(&payload)
+                raw.len(),
+                reply.len(),
+                codecs::fnv1a_32(&reply)
             );
         }
     }

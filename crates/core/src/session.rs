@@ -170,7 +170,7 @@ impl DevUdf {
     /// traced wire envelope, the server ships its spans back, and the
     /// combined client→wire→engine→UDF tree is returned rendered (the
     /// body of `devudf trace`). The rendered string is empty when
-    /// telemetry is off or the server predates the traced envelope.
+    /// telemetry is off.
     pub fn server_query_traced(
         &mut self,
         sql: &str,

@@ -34,11 +34,11 @@ pub struct TransferSettings {
 }
 
 /// Settings of the client-side extract cache: on by default — the
-/// iterative edit→extract→debug loop is the paper's whole premise, and
-/// against an old server the client falls back transparently.
+/// iterative edit→extract→debug loop is the paper's whole premise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSettings {
-    /// Use the `ExtractDelta` protocol with a local block cache.
+    /// Keep a local block cache and claim it in every `ExtractDelta`
+    /// request; off, every extract is a cold one that claims nothing.
     pub enabled: bool,
     /// Extract payloads kept client-side (MRU eviction).
     pub entries: usize,
@@ -781,8 +781,7 @@ mod tests {
 
     #[test]
     fn settings_file_without_cache_section_loads_enabled() {
-        // Files written before the delta cache existed default to on —
-        // the client degrades transparently against old servers anyway.
+        // Files written before the delta cache existed default to on.
         let dir = temp_dir("nocache");
         let path = Settings::path_in(&dir);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();

@@ -256,7 +256,7 @@ fn main() {
                     cache.entries
                 );
             } else {
-                println!("extract cache: disabled (classic full extract)");
+                println!("extract cache: disabled (every extract is cold)");
             }
             // Two identical fetches back to back: the second rides the
             // delta protocol and — unchanged data — costs zero payload

@@ -52,10 +52,10 @@ pub struct ClientOptions {
     /// only — never crosses the wire, never changes the bytes on it.
     pub parallelism: Option<usize>,
     /// Content-addressed delta cache for repeated extracts: `Some(n)`
-    /// keeps up to `n` extract payloads ([`crate::delta::BlockCache`])
-    /// and upgrades [`Client::extract_inputs`] to the `ExtractDelta`
-    /// protocol (falling back transparently against older servers);
-    /// `None` disables caching and always runs the classic full extract.
+    /// keeps up to `n` extract payloads ([`crate::delta::BlockCache`]),
+    /// which [`Client::extract_inputs`] claims so the server can answer
+    /// `NotModified` or ship only changed blocks; `None` keeps nothing,
+    /// so every extract is a cold one.
     pub cache: Option<usize>,
 }
 
@@ -113,14 +113,6 @@ pub struct Client {
     pool: Option<devharness::Pool>,
     /// Delta block cache when `ClientOptions::cache` was set.
     cache: Option<BlockCache>,
-    /// Cleared permanently the first time the server rejects the
-    /// `ExtractDelta` tag — every later extract takes the classic path
-    /// without re-probing (one wasted round trip per connection, max).
-    delta_supported: bool,
-    /// Cleared permanently the first time the server rejects the `Traced`
-    /// envelope tag — every later [`Client::query_traced`] degrades to a
-    /// plain query without re-probing (same version gate as deltas).
-    trace_supported: bool,
 }
 
 impl std::fmt::Debug for Client {
@@ -139,7 +131,6 @@ fn op_latency(op: &'static str) -> &'static obs::metrics::Histogram {
         "query" => obs::histogram!("wire.client.latency.query"),
         "list_functions" => obs::histogram!("wire.client.latency.list_functions"),
         "get_function" => obs::histogram!("wire.client.latency.get_function"),
-        "extract_inputs" => obs::histogram!("wire.client.latency.extract_inputs"),
         "extract_delta" => obs::histogram!("wire.client.latency.extract_delta"),
         _ => obs::histogram!("wire.client.latency.other"),
     }
@@ -152,6 +143,19 @@ fn sql_is_idempotent(sql: &str) -> bool {
     ["select", "values", "explain"]
         .iter()
         .any(|kw| t.len() >= kw.len() && t[..kw.len()].eq_ignore_ascii_case(kw))
+}
+
+/// The cache entry an extract may claim: none for a cache-off client or
+/// a sampled extract.
+fn claimable<'a>(
+    cache: &'a mut Option<BlockCache>,
+    fp: u64,
+    options: &TransferOptions,
+) -> Option<&'a CacheEntry> {
+    if options.sample.is_some() {
+        return None;
+    }
+    cache.as_mut()?.get(fp)
 }
 
 impl Client {
@@ -229,8 +233,6 @@ impl Client {
             fault_stats,
             pool: options.parallelism.map(devharness::Pool::new),
             cache: options.cache.map(BlockCache::new),
-            delta_supported: true,
-            trace_supported: true,
         };
         // Login is idempotent: under fault injection / flaky networks the
         // initial handshake retries like any read.
@@ -410,17 +412,14 @@ impl Client {
     /// into one id space and stitched under the wire span — ready for
     /// [`obs::trace::assemble`] / [`obs::trace::render_tree`].
     ///
-    /// Degrades transparently in every direction: with telemetry disabled
-    /// (or compiled out) the frame sent is byte-identical to
-    /// [`Client::query`] and the span list is empty; against a server
-    /// that predates the envelope the first attempt fails on the unknown
-    /// tag and the client permanently falls back to plain queries.
+    /// With telemetry disabled (or compiled out) the frame sent is
+    /// byte-identical to [`Client::query`] and the span list is empty.
     pub fn query_traced(
         &mut self,
         sql: &str,
     ) -> Result<(WireResult, Vec<obs::trace::SpanRecord>), WireError> {
         let trace = obs::trace::new_trace_id();
-        if trace == 0 || !self.trace_supported {
+        if trace == 0 {
             return Ok((self.query(sql)?, Vec::new()));
         }
         obs::trace::start_capture(trace);
@@ -453,20 +452,7 @@ impl Client {
         };
         drop(ctx);
         let mut records = obs::trace::take_capture(trace);
-        let (server_spans, inner) = match exchange {
-            Ok(v) => v,
-            Err(WireError::Server {
-                ref code,
-                ref message,
-                ..
-            }) if code == "ProtocolError" && message.contains("unknown message tag") => {
-                // Old-format server: remember and repeat as a plain query.
-                self.trace_supported = false;
-                obs::counter!("wire.client.trace_fallbacks").inc();
-                return Ok((self.query(sql)?, Vec::new()));
-            }
-            Err(e) => return Err(e),
-        };
+        let (server_spans, inner) = exchange?;
         // Stitch: server span ids live in their own namespace — shift
         // them into the top half of the id space (client ids are minted
         // from 1 and can never reach it) and hang the server's roots off
@@ -548,77 +534,14 @@ impl Client {
     /// the call to `udf` intercepted, and transfer its input data using
     /// `options`. Returns the inputs dict and the transfer statistics.
     ///
-    /// With a delta cache configured ([`ClientOptions::cache`]) and no
-    /// sampling requested, the call goes through the `ExtractDelta`
-    /// protocol: unchanged payloads cost zero payload bytes, partially
-    /// changed ones ship only the changed blocks. Against a server that
-    /// predates the protocol the first attempt fails on the unknown
-    /// message tag and the client permanently falls back to the classic
-    /// full extract — same results, PR 4 bytes.
+    /// Every extract is one `ExtractDelta` round trip (DESIGN §12). With a
+    /// delta cache configured ([`ClientOptions::cache`]) the request
+    /// claims the cached entry's epochs and block digests: unchanged
+    /// payloads cost zero payload bytes, partially changed ones ship only
+    /// the changed blocks. A cache-off client and a sampled extract claim
+    /// nothing and keep nothing — a sample is drawn fresh per transfer,
+    /// so two sampled payloads are never comparable.
     pub fn extract_inputs(
-        &mut self,
-        query: &str,
-        udf: &str,
-        options: TransferOptions,
-    ) -> Result<(Value, TransferStats), WireError> {
-        if self.cache.is_some() && self.delta_supported && options.sample.is_none() {
-            match self.extract_delta(query, udf, options) {
-                Err(WireError::Server {
-                    ref code,
-                    ref message,
-                    ..
-                }) if code == "ProtocolError" && message.contains("unknown message tag") => {
-                    // Old-format server: remember and fall through to the
-                    // classic extract below.
-                    self.delta_supported = false;
-                    obs::counter!("transfer.delta.fallbacks").inc();
-                }
-                other => return other,
-            }
-        }
-        let transfer_id = self.next_transfer_id;
-        self.next_transfer_id += 1;
-        let msg = Message::ExtractInputs {
-            query: query.to_string(),
-            udf: udf.to_string(),
-            options,
-            transfer_id,
-        };
-        match self.call("extract_inputs", &msg, true)? {
-            Message::Extracted {
-                payload,
-                raw_len,
-                options,
-                transfer_id,
-            } => {
-                let stats = TransferStats {
-                    raw_len: raw_len as usize,
-                    wire_len: payload.len(),
-                };
-                let pool = self
-                    .pool
-                    .as_ref()
-                    .unwrap_or_else(|| devharness::pool::global());
-                let value = transfer::decode_payload_with(
-                    pool,
-                    &payload,
-                    &options,
-                    &self.password,
-                    transfer_id,
-                )
-                .map_err(|e| WireError::Protocol(e.to_string()))?;
-                Ok((value, stats))
-            }
-            other => Err(WireError::Protocol(format!(
-                "unexpected extract reply: {other:?}"
-            ))),
-        }
-    }
-
-    /// One `ExtractDelta` round trip: claim what the cache holds, then
-    /// rebuild the payload from the reply (`NotModified` → pure cache,
-    /// `DeltaBlocks` → shipped blocks + cached blocks by digest).
-    fn extract_delta(
         &mut self,
         query: &str,
         udf: &str,
@@ -627,7 +550,7 @@ impl Client {
         let transfer_id = self.next_transfer_id;
         self.next_transfer_id += 1;
         let fp = delta::fingerprint(query, udf, &options);
-        let (epochs, digests) = match self.cache.as_mut().and_then(|c| c.get(fp)) {
+        let (epochs, digests) = match claimable(&mut self.cache, fp, &options) {
             Some(entry) => (entry.epochs.clone(), entry.digests.clone()),
             None => (Vec::new(), Vec::new()),
         };
@@ -641,8 +564,7 @@ impl Client {
         };
         match self.call("extract_delta", &msg, true)? {
             Message::DeltaNotModified { .. } => {
-                let cache = self.cache.as_mut().expect("delta path requires a cache");
-                let entry = cache.get(fp).ok_or_else(|| {
+                let entry = claimable(&mut self.cache, fp, &options).ok_or_else(|| {
                     WireError::Protocol(
                         "server answered NotModified for an extract not in the cache".into(),
                     )
@@ -680,7 +602,7 @@ impl Client {
                 let wire_len =
                     blocks.iter().map(|b| b.body.len()).sum::<usize>() + 32 * digests.len();
                 let raw = {
-                    let cached_map = match self.cache.as_mut().and_then(|c| c.get(fp)) {
+                    let cached_map = match claimable(&mut self.cache, fp, &options) {
                         Some(entry) => entry.digest_map(),
                         None => std::collections::HashMap::new(),
                     };
@@ -720,18 +642,22 @@ impl Client {
                 }
                 obs::counter!("transfer.delta.bytes_saved")
                     .add(raw_len.saturating_sub(shipped_raw) as u64);
-                let entry = CacheEntry::from_raw(&raw, block_size, epochs);
-                self.cache
-                    .as_mut()
-                    .expect("delta path requires a cache")
-                    .insert(fp, entry);
+                if let Some(cache) = self.cache.as_mut().filter(|_| options.sample.is_none()) {
+                    // reconstruct_delta matched every block of `raw`
+                    // against this digest table, so it is reused, not
+                    // recomputed.
+                    cache.insert(
+                        fp,
+                        CacheEntry::from_digests(&raw, block_size, digests, epochs),
+                    );
+                }
                 let stats = TransferStats { raw_len, wire_len };
                 let value = transfer::unpickle_inputs(&raw)
                     .map_err(|e| WireError::Protocol(e.to_string()))?;
                 Ok((value, stats))
             }
             other => Err(WireError::Protocol(format!(
-                "unexpected delta reply: {other:?}"
+                "unexpected extract reply: {other:?}"
             ))),
         }
     }
@@ -925,9 +851,10 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn extract_with_sampling_reduces_rows_and_bytes() {
-        let server = Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), |db| {
+    /// 2 000 distinct rows behind a trivial UDF `f`: large enough that
+    /// two samples of 50 rows never coincide.
+    fn big_server() -> Server {
+        Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), |db| {
             db.execute("CREATE TABLE big (i INTEGER)").unwrap();
             let values: Vec<String> = (0..2000).map(|i| format!("({i})")).collect();
             db.execute(&format!("INSERT INTO big VALUES {}", values.join(", ")))
@@ -936,7 +863,24 @@ mod tests {
                 "CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON { return 0.0 }",
             )
             .unwrap();
-        });
+        })
+    }
+
+    fn column_of(v: &Value) -> Vec<i64> {
+        let Value::Dict(d) = v else { panic!() };
+        let col = d.borrow().get(&Value::str("column")).unwrap().unwrap();
+        let Value::Array(a) = col else { panic!() };
+        (0..a.len())
+            .map(|i| match a.get(i) {
+                Value::Int(x) => x,
+                other => panic!("{other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn extract_with_sampling_reduces_rows_and_bytes() {
+        let server = big_server();
         let mut client = connect(&server);
         let (full, full_stats) = client
             .extract_inputs("SELECT f(i) FROM big", "f", TransferOptions::plain())
@@ -944,15 +888,93 @@ mod tests {
         let (sampled, sampled_stats) = client
             .extract_inputs("SELECT f(i) FROM big", "f", TransferOptions::sampled(50))
             .unwrap();
-        let arr_len = |v: &Value| {
-            let Value::Dict(d) = v else { panic!() };
-            let col = d.borrow().get(&Value::str("column")).unwrap().unwrap();
-            let Value::Array(a) = col else { panic!() };
-            a.len()
-        };
-        assert_eq!(arr_len(&full), 2000);
-        assert_eq!(arr_len(&sampled), 50);
+        assert_eq!(column_of(&full).len(), 2000);
+        assert_eq!(column_of(&sampled).len(), 50);
         assert!(sampled_stats.wire_len < full_stats.wire_len / 10);
+        server.shutdown();
+    }
+
+    #[test]
+    fn sampled_extracts_on_a_cached_client_are_cold_delta_requests() {
+        let server = big_server();
+        let (core, session) = server.in_proc_connection();
+        let frames = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let transport = RecordingTransport {
+            inner: InProcTransport { core, session },
+            frames: frames.clone(),
+        };
+        let options = ClientOptions {
+            cache: Some(4),
+            ..ClientOptions::default()
+        };
+        let mut client =
+            Client::login(Box::new(transport), "monetdb", "monetdb", "demo", options).unwrap();
+        let sampled = TransferOptions::sampled(50);
+        let mut draws = Vec::new();
+        for _ in 0..2 {
+            let (value, stats) = client
+                .extract_inputs("SELECT f(i) FROM big", "f", sampled)
+                .unwrap();
+            // A NotModified answer would carry no payload bytes.
+            assert!(stats.wire_len > 0);
+            draws.push(column_of(&value));
+        }
+        assert_eq!(draws[0].len(), 50);
+        assert_ne!(draws[0], draws[1], "each transfer draws a fresh sample");
+        assert!(
+            client.cache.as_ref().unwrap().is_empty(),
+            "samples are never cached"
+        );
+        // Login, then two tag-7 requests that claim nothing.
+        let frames = frames.lock().unwrap().clone();
+        assert_eq!(frames.len(), 3);
+        for frame in &frames[1..] {
+            match Message::decode(frame).unwrap() {
+                Message::ExtractDelta {
+                    options,
+                    epochs,
+                    digests,
+                    ..
+                } => {
+                    assert_eq!(options, sampled);
+                    assert!(epochs.is_empty() && digests.is_empty());
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn sampled_requests_claiming_cached_state_are_rejected() {
+        let server = big_server();
+        let (core, session) = server.in_proc_connection();
+        let mut transport = InProcTransport { core, session };
+        let login = Message::Login {
+            user: "monetdb".into(),
+            password: "monetdb".into(),
+            database: "demo".into(),
+        };
+        transport.round_trip(&login.encode()).unwrap();
+        let claims = [
+            (vec![("big".to_string(), 1)], vec![]),
+            (vec![], vec![[0u8; 32]]),
+        ];
+        for (transfer_id, (epochs, digests)) in (1..).zip(claims) {
+            let request = Message::ExtractDelta {
+                query: "SELECT f(i) FROM big".into(),
+                udf: "f".into(),
+                options: TransferOptions::sampled(50),
+                transfer_id,
+                epochs,
+                digests,
+            };
+            let reply = transport.round_trip(&request.encode()).unwrap();
+            match Message::decode(&reply).unwrap() {
+                Message::Error { code, .. } => assert_eq!(code, "TransferError"),
+                other => panic!("{other:?}"),
+            }
+        }
         server.shutdown();
     }
 
@@ -1025,63 +1047,6 @@ mod tests {
         // Without a fault policy there is nothing to report.
         let bare = connect(&server);
         assert!(bare.fault_stats().is_none());
-        server.shutdown();
-    }
-
-    /// Mimics a server that predates the delta protocol: any `ExtractDelta`
-    /// frame (tag 7) is answered with the exact error an old decoder
-    /// produces, everything else passes through to the real server.
-    struct OldServerTransport {
-        inner: InProcTransport,
-        delta_frames: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl crate::transport::ClientTransport for OldServerTransport {
-        fn round_trip(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-            if frame.first() == Some(&7) {
-                self.delta_frames
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Ok(Message::Error {
-                    code: "ProtocolError".into(),
-                    message: "unknown message tag 7".into(),
-                    traceback: None,
-                }
-                .encode());
-            }
-            self.inner.round_trip(frame)
-        }
-    }
-
-    #[test]
-    fn delta_client_falls_back_against_an_old_server() {
-        let server = demo_server();
-        let (core, session) = server.in_proc_connection();
-        let delta_frames = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let transport = OldServerTransport {
-            inner: InProcTransport { core, session },
-            delta_frames: delta_frames.clone(),
-        };
-        let options = ClientOptions {
-            cache: Some(4),
-            ..ClientOptions::default()
-        };
-        let mut client =
-            Client::login(Box::new(transport), "monetdb", "monetdb", "demo", options).unwrap();
-        let query = "SELECT mean_deviation(i) FROM numbers";
-        let (a, stats_a) = client
-            .extract_inputs(query, "mean_deviation", TransferOptions::plain())
-            .unwrap();
-        // The probe failed on the unknown tag and the classic extract
-        // carried the data.
-        assert!(!client.delta_supported);
-        assert!(stats_a.wire_len > 0);
-        // Later extracts skip the probe entirely: exactly one tag-7 frame
-        // ever crossed this connection.
-        let (b, _) = client
-            .extract_inputs(query, "mean_deviation", TransferOptions::plain())
-            .unwrap();
-        assert_eq!(delta_frames.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert!(a.py_eq(&b));
         server.shutdown();
     }
 
@@ -1198,61 +1163,6 @@ mod tests {
         assert_eq!(roots.len(), 1, "{spans:?}");
         assert_eq!(roots[0].record.name, "client.query");
         assert_eq!(roots[0].len(), spans.len());
-        server.shutdown();
-    }
-
-    /// Mimics a server that predates the trace envelope: any `Traced`
-    /// frame (tag 8) is answered with an old decoder's exact error.
-    struct PreTraceServerTransport {
-        inner: InProcTransport,
-        traced_frames: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl crate::transport::ClientTransport for PreTraceServerTransport {
-        fn round_trip(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-            if frame.first() == Some(&8) {
-                self.traced_frames
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Ok(Message::Error {
-                    code: "ProtocolError".into(),
-                    message: "unknown message tag 8".into(),
-                    traceback: None,
-                }
-                .encode());
-            }
-            self.inner.round_trip(frame)
-        }
-    }
-
-    #[test]
-    fn traced_client_falls_back_against_an_old_server() {
-        let _serial = obs::metrics::test_lock();
-        obs::set_enabled(true);
-        obs::trace::clear_subscribers();
-        let server = demo_server();
-        let (core, session) = server.in_proc_connection();
-        let traced_frames = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let transport = PreTraceServerTransport {
-            inner: InProcTransport { core, session },
-            traced_frames: traced_frames.clone(),
-        };
-        let mut client = Client::login(
-            Box::new(transport),
-            "monetdb",
-            "monetdb",
-            "demo",
-            ClientOptions::default(),
-        )
-        .unwrap();
-        let (a, spans) = client.query_traced("SELECT sum(i) FROM numbers").unwrap();
-        assert_eq!(a.into_table().unwrap().rows[0][0], WireValue::Int(21));
-        assert!(spans.is_empty(), "fallback returns no spans");
-        assert!(!client.trace_supported);
-        // Later traced queries skip the probe entirely: exactly one tag-8
-        // frame ever crossed this connection.
-        let (_, spans2) = client.query_traced("SELECT sum(i) FROM numbers").unwrap();
-        assert!(spans2.is_empty());
-        assert_eq!(traced_frames.load(std::sync::atomic::Ordering::Relaxed), 1);
         server.shutdown();
     }
 

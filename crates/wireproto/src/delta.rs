@@ -13,6 +13,8 @@
 //!
 //! Sampled extracts bypass the cache entirely: the server draws a fresh
 //! sample per transfer id, so two sampled payloads are never comparable.
+//! They, like every extract of a cache-off client, go out as cold
+//! `ExtractDelta` requests that claim nothing.
 //!
 //! # Examples
 //!
@@ -68,9 +70,24 @@ impl CacheEntry {
     /// Panics if `block_size` is zero.
     pub fn from_raw(raw: &[u8], block_size: usize, epochs: Vec<(String, u64)>) -> CacheEntry {
         assert!(block_size > 0, "block_size must be non-zero");
+        let digests = codecs::sha256::block_digests(raw, block_size);
+        CacheEntry::from_digests(raw, block_size, digests, epochs)
+    }
+
+    /// Build an entry from a raw payload whose block digests are already
+    /// known to match — the digest table of a `DeltaBlocks` reply, once
+    /// [`crate::transfer::reconstruct_delta`] has checked every block
+    /// against it.
+    pub(crate) fn from_digests(
+        raw: &[u8],
+        block_size: usize,
+        digests: Vec<[u8; 32]>,
+        epochs: Vec<(String, u64)>,
+    ) -> CacheEntry {
+        debug_assert_eq!(digests.len(), raw.len().div_ceil(block_size));
         CacheEntry {
             epochs,
-            digests: codecs::sha256::block_digests(raw, block_size),
+            digests,
             blocks: raw.chunks(block_size).map(<[u8]>::to_vec).collect(),
             raw_len: raw.len(),
         }

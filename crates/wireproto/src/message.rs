@@ -277,25 +277,19 @@ pub enum Message {
     Query {
         sql: String,
     },
-    /// The paper's extract function: capture `udf`'s inputs from `query`
-    /// and ship them with the requested transfer options.
-    ExtractInputs {
-        query: String,
-        udf: String,
-        options: TransferOptions,
-        transfer_id: u64,
-    },
     ListFunctions,
     GetFunction {
         name: String,
     },
     Ping,
-    /// Delta-aware extract (DESIGN §12): like [`Message::ExtractInputs`],
-    /// but the client also declares what it already holds — the
-    /// dependency epochs its cache entry was built against and the
-    /// SHA-256 digests of its cached plaintext blocks — so the server can
-    /// answer [`Message::DeltaNotModified`] or ship only changed blocks.
-    /// Both lists are empty on a cold cache.
+    /// The paper's extract function (DESIGN §12): capture `udf`'s inputs
+    /// from `query` and ship them with the requested transfer options.
+    /// The client also declares what it already holds — the dependency
+    /// epochs its cache entry was built against and the SHA-256 digests
+    /// of its cached plaintext blocks — so the server can answer
+    /// [`Message::DeltaNotModified`] or ship only changed blocks. A
+    /// request that claims nothing is a cold extract: a cold cache, a
+    /// cache-off client and every sampled extract send both lists empty.
     ExtractDelta {
         query: String,
         udf: String,
@@ -306,12 +300,10 @@ pub enum Message {
         /// Content addresses of the client's cached raw blocks.
         digests: Vec<[u8; 32]>,
     },
-    /// Trace envelope (PR 8 version gate, DESIGN §15): `inner` is a fully
-    /// encoded client message, `trace` the client-minted trace id. A
-    /// traced server answers with [`Message::TracedReply`]; an old server
-    /// fails on the unknown tag — the client's cue to fall back to plain
-    /// frames permanently. Untraced clients never send this, so their
-    /// wire bytes are untouched by the feature.
+    /// Trace envelope (DESIGN §15): `inner` is a fully encoded client
+    /// message, `trace` the client-minted trace id. The server answers
+    /// with [`Message::TracedReply`]. Untraced clients never send this,
+    /// so their wire bytes are untouched by the feature.
     Traced {
         /// Client-minted trace id (never 0 on the wire).
         trace: u64,
@@ -327,14 +319,6 @@ pub enum Message {
         result: WireResult,
         /// `print` output emitted by UDFs during the statement.
         udf_stdout: String,
-    },
-    /// Extracted input payload: pickle bytes, possibly compressed and/or
-    /// encrypted (flags echoed in `options`).
-    Extracted {
-        payload: Vec<u8>,
-        raw_len: u64,
-        options: TransferOptions,
-        transfer_id: u64,
     },
     FunctionList {
         names: Vec<String>,
@@ -548,18 +532,6 @@ fn read_table(r: &mut Reader<'_>) -> Result<WireTable, WireError> {
 }
 
 fn put_options(out: &mut Vec<u8>, o: &TransferOptions) {
-    put_options_impl(out, o, false)
-}
-
-/// [`put_options`] with the delta version-gate bit set. Only the delta
-/// messages carry it: an old server that sees an `ExtractDelta` frame
-/// fails on the unknown message tag (the client's cue to fall back), and
-/// the bit keeps a delta frame from ever being misparsed as a plain one.
-fn put_options_delta(out: &mut Vec<u8>, o: &TransferOptions) {
-    put_options_impl(out, o, true)
-}
-
-fn put_options_impl(out: &mut Vec<u8>, o: &TransferOptions, delta: bool) {
     let mut flags = 0u8;
     if o.compress {
         flags |= 1;
@@ -571,14 +543,10 @@ fn put_options_impl(out: &mut Vec<u8>, o: &TransferOptions, delta: bool) {
         flags |= 4;
     }
     // Bit 8 marks a non-default container block size; the default is
-    // elided so frames from older peers (and the common case) stay
-    // byte-identical to the pre-chunking encoding.
+    // elided, so the common case costs no extra bytes.
     let block_size = o.effective_block_size();
     if block_size != transfer::DEFAULT_BLOCK_SIZE {
         flags |= 8;
-    }
-    if delta {
-        flags |= DELTA_OPTION_FLAG;
     }
     out.push(flags);
     if let Some(k) = o.sample {
@@ -589,48 +557,23 @@ fn put_options_impl(out: &mut Vec<u8>, o: &TransferOptions, delta: bool) {
     }
 }
 
-/// Every transfer-option flag bit this version understands. Bits 0–2
-/// (compress/encrypt/sample) shipped in v0; bit 3 (block size) implies a
-/// trailing varint. Bit 4 ([`DELTA_OPTION_FLAG`]) is deliberately **not**
-/// in this set: it only ever appears inside the delta messages, which use
-/// [`read_options_delta`] — a plain message carrying it is still rejected
-/// with the same strictness as any unknown bit.
+/// Every transfer-option flag bit this version understands: compress,
+/// encrypt, sample (implies a trailing varint) and block size (implies a
+/// trailing varint).
 const KNOWN_OPTION_FLAGS: u8 = 1 | 2 | 4 | 8;
 
-/// Option flag bit marking a delta-protocol message (PR 5 version gate).
-const DELTA_OPTION_FLAG: u8 = 16;
-
 fn read_options(r: &mut Reader<'_>) -> Result<TransferOptions, WireError> {
-    read_options_impl(r, false)
-}
-
-/// [`read_options`] for the delta messages: bit 4 is both accepted and
-/// **required**, so a delta frame from a peer that does not actually
-/// speak the delta protocol fails loudly instead of desyncing.
-fn read_options_delta(r: &mut Reader<'_>) -> Result<TransferOptions, WireError> {
-    read_options_impl(r, true)
-}
-
-fn read_options_impl(r: &mut Reader<'_>, delta: bool) -> Result<TransferOptions, WireError> {
     let flags = r.byte()?;
     // Reject unknown bits loudly. Flag bits here imply trailing fields
     // (bit 2 a sample count, bit 3 a block size), so skipping an unknown
     // bit would leave its field unconsumed and silently desync every
     // later read in the frame — a clean error beats misparsed garbage
     // when a newer peer sends an extension we don't know.
-    let known = if delta {
-        KNOWN_OPTION_FLAGS | DELTA_OPTION_FLAG
-    } else {
-        KNOWN_OPTION_FLAGS
-    };
-    if flags & !known != 0 {
+    if flags & !KNOWN_OPTION_FLAGS != 0 {
         return Err(Reader::err(&format!(
             "unknown transfer option flag bits {:#04x}",
-            flags & !known
+            flags & !KNOWN_OPTION_FLAGS
         )));
-    }
-    if delta && flags & DELTA_OPTION_FLAG == 0 {
-        return Err(Reader::err("delta message without the delta option flag"));
     }
     let sample = if flags & 4 != 0 {
         Some(r.varint()? as usize)
@@ -765,18 +708,6 @@ impl Message {
                 out.push(2);
                 put_str(&mut out, sql);
             }
-            Message::ExtractInputs {
-                query,
-                udf,
-                options,
-                transfer_id,
-            } => {
-                out.push(3);
-                put_str(&mut out, query);
-                put_str(&mut out, udf);
-                put_options(&mut out, options);
-                write_u64(&mut out, *transfer_id);
-            }
             Message::ListFunctions => out.push(4),
             Message::GetFunction { name } => {
                 out.push(5);
@@ -794,7 +725,7 @@ impl Message {
                 out.push(7);
                 put_str(&mut out, query);
                 put_str(&mut out, udf);
-                put_options_delta(&mut out, options);
+                put_options(&mut out, options);
                 write_u64(&mut out, *transfer_id);
                 put_epochs(&mut out, epochs);
                 put_digests(&mut out, digests);
@@ -822,18 +753,6 @@ impl Message {
                     }
                 }
                 put_str(&mut out, udf_stdout);
-            }
-            Message::Extracted {
-                payload,
-                raw_len,
-                options,
-                transfer_id,
-            } => {
-                out.push(66);
-                put_bytes(&mut out, payload);
-                write_u64(&mut out, *raw_len);
-                put_options(&mut out, options);
-                write_u64(&mut out, *transfer_id);
             }
             Message::FunctionList { names } => {
                 out.push(67);
@@ -890,7 +809,7 @@ impl Message {
                 blocks,
             } => {
                 out.push(72);
-                put_options_delta(&mut out, options);
+                put_options(&mut out, options);
                 write_u64(&mut out, *transfer_id);
                 write_u64(&mut out, *raw_len);
                 put_epochs(&mut out, epochs);
@@ -922,19 +841,13 @@ impl Message {
                 database: r.string()?,
             },
             2 => Message::Query { sql: r.string()? },
-            3 => Message::ExtractInputs {
-                query: r.string()?,
-                udf: r.string()?,
-                options: read_options(&mut r)?,
-                transfer_id: r.varint()?,
-            },
             4 => Message::ListFunctions,
             5 => Message::GetFunction { name: r.string()? },
             6 => Message::Ping,
             7 => Message::ExtractDelta {
                 query: r.string()?,
                 udf: r.string()?,
-                options: read_options_delta(&mut r)?,
+                options: read_options(&mut r)?,
                 transfer_id: r.varint()?,
                 epochs: read_epochs(&mut r)?,
                 digests: read_digests(&mut r)?,
@@ -967,12 +880,6 @@ impl Message {
                     udf_stdout: r.string()?,
                 }
             }
-            66 => Message::Extracted {
-                payload: r.bytes()?,
-                raw_len: r.varint()?,
-                options: read_options(&mut r)?,
-                transfer_id: r.varint()?,
-            },
             67 => {
                 let n = r.varint()? as usize;
                 let mut names = Vec::with_capacity(n.min(1 << 16));
@@ -1014,7 +921,7 @@ impl Message {
                 transfer_id: r.varint()?,
             },
             72 => {
-                let options = read_options_delta(&mut r)?;
+                let options = read_options(&mut r)?;
                 let transfer_id = r.varint()?;
                 let raw_len = r.varint()?;
                 let epochs = read_epochs(&mut r)?;
@@ -1073,23 +980,6 @@ mod tests {
         round_trip(Message::Query {
             sql: "SELECT * FROM t".into(),
         });
-        round_trip(Message::ExtractInputs {
-            query: "SELECT f(i) FROM t".into(),
-            udf: "f".into(),
-            options: TransferOptions {
-                compress: true,
-                encrypt: true,
-                sample: Some(100),
-                ..Default::default()
-            },
-            transfer_id: 42,
-        });
-        round_trip(Message::ExtractInputs {
-            query: "SELECT f(i) FROM t".into(),
-            udf: "f".into(),
-            options: TransferOptions::compressed().with_block_size(64 * 1024),
-            transfer_id: 43,
-        });
         round_trip(Message::ListFunctions);
         round_trip(Message::GetFunction { name: "f".into() });
         round_trip(Message::Ping);
@@ -1100,12 +990,6 @@ mod tests {
                 message: "3 row(s) inserted".into(),
             },
             udf_stdout: String::new(),
-        });
-        round_trip(Message::Extracted {
-            payload: vec![1, 2, 3],
-            raw_len: 100,
-            options: TransferOptions::default(),
-            transfer_id: 1,
         });
         round_trip(Message::FunctionList {
             names: vec!["a".into(), "b".into()],
@@ -1149,6 +1033,22 @@ mod tests {
             epochs: vec![],
             digests: vec![],
         });
+        // Sampled requests travel in the same family, sample count and
+        // block size riding the options byte.
+        round_trip(Message::ExtractDelta {
+            query: "SELECT f(i) FROM t".into(),
+            udf: "f".into(),
+            options: TransferOptions {
+                compress: true,
+                encrypt: true,
+                sample: Some(100),
+                ..Default::default()
+            }
+            .with_block_size(64 * 1024),
+            transfer_id: 42,
+            epochs: vec![],
+            digests: vec![],
+        });
         round_trip(Message::DeltaNotModified { transfer_id: 9 });
         round_trip(Message::DeltaBlocks {
             options: TransferOptions::compressed(),
@@ -1165,34 +1065,27 @@ mod tests {
     }
 
     #[test]
-    fn delta_frames_carry_the_version_gate_bit() {
-        // The options byte of a delta message must set bit 4 — that's what
-        // keeps an old-format peer from misparsing it — and a delta frame
-        // *without* the bit must be rejected.
-        let msg = Message::ExtractDelta {
-            query: "q".into(),
-            udf: "f".into(),
-            options: TransferOptions::plain(),
-            transfer_id: 1,
-            epochs: vec![],
-            digests: vec![],
-        };
-        let encoded = msg.encode();
-        let mut out = Vec::new();
-        put_options_delta(&mut out, &TransferOptions::plain());
-        assert_eq!(out[0] & 16, 16);
-        // Strip the bit in the frame: decode must fail loudly. The options
-        // byte sits at a fixed offset: tag + "q" (2 bytes) + "f" (2 bytes).
-        let at = 5;
-        assert_eq!(encoded[at] & 16, 16);
-        let mut stripped = encoded.clone();
-        stripped[at] &= !16;
-        let err = Message::decode(&stripped).unwrap_err();
-        assert!(
-            err.to_string().contains("without the delta option flag"),
-            "{err}"
-        );
-        assert_eq!(Message::decode(&encoded).unwrap(), msg);
+    fn retired_extract_tags_are_unknown() {
+        // Tags 3 and 66 once carried a second extract family. Frames that
+        // were well-formed under it now fail like any unknown tag.
+        let mut request = vec![3u8];
+        put_str(&mut request, "SELECT f(i) FROM t");
+        put_str(&mut request, "f");
+        put_options(&mut request, &TransferOptions::plain());
+        write_u64(&mut request, 1); // transfer_id
+        let mut reply = vec![66u8];
+        put_bytes(&mut reply, &[1, 2, 3]);
+        write_u64(&mut reply, 3); // raw_len
+        put_options(&mut reply, &TransferOptions::plain());
+        write_u64(&mut reply, 1); // transfer_id
+        for (tag, frame) in [(3, request), (66, reply)] {
+            match Message::decode(&frame) {
+                Err(WireError::Protocol(m)) => {
+                    assert_eq!(m, format!("unknown message tag {tag}"))
+                }
+                other => panic!("tag {tag}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1203,7 +1096,7 @@ mod tests {
         base.push(7u8);
         put_str(&mut base, "q");
         put_str(&mut base, "f");
-        put_options_delta(&mut base, &TransferOptions::plain());
+        put_options(&mut base, &TransferOptions::plain());
         write_u64(&mut base, 1); // transfer_id
 
         let mut huge_epochs = base.clone();
@@ -1222,7 +1115,7 @@ mod tests {
 
         let mut overfull = Vec::new();
         overfull.push(72u8);
-        put_options_delta(&mut overfull, &TransferOptions::plain());
+        put_options(&mut overfull, &TransferOptions::plain());
         write_u64(&mut overfull, 1); // transfer_id
         write_u64(&mut overfull, 100); // raw_len
         write_u64(&mut overfull, 0); // no epochs

@@ -305,8 +305,7 @@ impl ServerCore {
             Message::ListFunctions | Message::GetFunction { .. } => Route::Read,
             // Extraction intercepts the target UDF instead of executing it,
             // so only *other* impure UDFs in the query force the writer.
-            Message::ExtractInputs { query, udf, .. }
-            | Message::ExtractDelta { query, udf, .. } => {
+            Message::ExtractDelta { query, udf, .. } => {
                 match classify_extract(query, udf, &snap.catalog) {
                     CommandClass::Read => Route::Read,
                     CommandClass::Write => Route::Write,
@@ -726,7 +725,6 @@ fn cmd_latency(msg: &Message) -> &'static obs::metrics::Histogram {
         Message::Query { .. } => obs::histogram!("wire.server.latency.query"),
         Message::ListFunctions => obs::histogram!("wire.server.latency.list_functions"),
         Message::GetFunction { .. } => obs::histogram!("wire.server.latency.get_function"),
-        Message::ExtractInputs { .. } => obs::histogram!("wire.server.latency.extract_inputs"),
         Message::ExtractDelta { .. } => obs::histogram!("wire.server.latency.extract_delta"),
         Message::Traced { .. } => obs::histogram!("wire.server.latency.traced"),
         _ => obs::histogram!("wire.server.latency.other"),
@@ -741,7 +739,6 @@ fn cmd_name(msg: &Message) -> &'static str {
         Message::Query { .. } => "query",
         Message::ListFunctions => "list_functions",
         Message::GetFunction { .. } => "get_function",
-        Message::ExtractInputs { .. } => "extract_inputs",
         Message::ExtractDelta { .. } => "extract_delta",
         _ => "other",
     }
@@ -910,40 +907,6 @@ fn dispatch_frame(
             Ok(None) => err_msg("CatalogError", format!("no such function '{name}'")),
             Err(e) => err_msg(e.code.name(), e.message),
         },
-        Message::ExtractInputs {
-            query,
-            udf,
-            options,
-            transfer_id,
-        } => match engine.extract_inputs(&query, &udf) {
-            Ok(inputs) => {
-                // Mix the wire session into the sampling seed: repeated
-                // extracts within a session already differ by transfer id,
-                // and two sessions against the same engine must not draw
-                // identical sample schedules either. Fully reproducible
-                // given (engine seed, session, transfer id).
-                match transfer::encode_payload(
-                    &inputs,
-                    &options,
-                    &config.password,
-                    transfer_id,
-                    transfer::derive_sample_seed(engine.rng_seed(), session),
-                ) {
-                    Ok((payload, raw_len)) => Message::Extracted {
-                        payload,
-                        raw_len: raw_len as u64,
-                        options,
-                        transfer_id,
-                    },
-                    Err(e) => err_msg("TransferError", e.to_string()),
-                }
-            }
-            Err(e) => Message::Error {
-                code: e.code.name().to_string(),
-                message: e.message.clone(),
-                traceback: e.traceback,
-            },
-        },
         Message::ExtractDelta {
             query,
             udf,
@@ -952,13 +915,14 @@ fn dispatch_frame(
             epochs,
             digests,
         } => {
-            if options.sample.is_some() {
+            if options.sample.is_some() && !(epochs.is_empty() && digests.is_empty()) {
                 // Samples are drawn fresh per transfer id, so two sampled
-                // payloads are never comparable; the client bypasses the
-                // cache for them, and a request that didn't is an error.
+                // payloads are never comparable: a sampled request claims
+                // nothing and is never answered NotModified.
                 return err_msg(
                     "TransferError",
-                    "sampled extracts bypass the delta cache (samples are per-transfer)",
+                    "a sampled extract may not claim cached epochs or blocks \
+                     (samples are drawn per transfer)",
                 );
             }
             // Epoch check FIRST: when every dependency epoch the client's
@@ -974,16 +938,38 @@ fn dispatch_frame(
                 obs::counter!("transfer.delta.server.not_modified").inc();
                 return Message::DeltaNotModified { transfer_id };
             }
-            match engine.extract_inputs_with_deps(&query, &udf) {
-                Ok((inputs, deps)) => {
-                    delta_reply(config, options, transfer_id, &inputs, deps, &digests)
+            let extracted = match options.sample {
+                None => engine.extract_inputs_with_deps(&query, &udf),
+                // A sample is drawn per transfer: it has no epochs to
+                // claim, so it can never be answered NotModified.
+                Some(_) => engine.extract_inputs(&query, &udf).map(|v| (v, Vec::new())),
+            };
+            let (inputs, deps) = match extracted {
+                Ok(v) => v,
+                Err(e) => {
+                    return Message::Error {
+                        code: e.code.name().to_string(),
+                        message: e.message.clone(),
+                        traceback: e.traceback,
+                    }
                 }
-                Err(e) => Message::Error {
-                    code: e.code.name().to_string(),
-                    message: e.message.clone(),
-                    traceback: e.traceback,
-                },
-            }
+            };
+            let inputs = match options.sample {
+                None => inputs,
+                // Mix the wire session into the sampling seed: repeated
+                // extracts within a session already differ by transfer id,
+                // and two sessions against the same engine must not draw
+                // identical sample schedules either. Fully reproducible
+                // given (engine seed, session, transfer id).
+                Some(k) => {
+                    let seed = transfer::derive_sample_seed(engine.rng_seed(), session);
+                    match transfer::sample_transfer(&inputs, k, seed, transfer_id) {
+                        Ok(sample) => sample,
+                        Err(e) => return err_msg("TransferError", e.to_string()),
+                    }
+                }
+            };
+            delta_reply(config, options, transfer_id, &inputs, deps, &digests)
         }
         // Server-only messages arriving at the server are protocol errors.
         other => err_msg(

@@ -37,15 +37,15 @@
 //! one thread and eight threads produce identical payloads (CI asserts
 //! this with pinned `DEVUDF_POOL_THREADS`).
 //!
-//! Plain transfers (no compress, no encrypt) stay in the legacy v0 format
-//! — the raw pickle — with zero framing overhead, and v0 single-blob
-//! compressed/encrypted payloads from older peers still decode:
-//! [`decode_payload`] dispatches on the container magic + version byte.
+//! Plain payloads (no compress, no encrypt) are the raw pickle, with zero
+//! framing overhead; [`decode_payload`] expects the container exactly
+//! when compression or encryption is on. The extract wire never carries
+//! the container itself, only its per-block bodies (below).
 //!
 //! # Content-addressed delta layer
 //!
-//! On top of the container, the extract path supports **block-level delta
-//! transfer** (DESIGN §12): both ends address the *plaintext* pickle
+//! The extract path is a **block-level delta transfer** (DESIGN §12)
+//! over the container's block grid: both ends address the *plaintext* pickle
 //! blocks by their SHA-256 digest ([`block_digests_pooled`]), the client
 //! caches raw blocks under those digests ([`crate::delta`]), and the
 //! server ships only the blocks whose digest the client does not already
@@ -181,8 +181,6 @@ pub enum TransferError {
     BlockIntegrity { block: usize, encrypted: bool },
     /// A block failed to decompress / had the wrong stored size.
     BlockCodec { block: usize, detail: String },
-    /// Error in the legacy (v0) single-blob pipeline.
-    Legacy(String),
 }
 
 impl std::fmt::Display for TransferError {
@@ -214,7 +212,6 @@ impl std::fmt::Display for TransferError {
                     "transfer error: block {block} failed to decode: {detail}"
                 )
             }
-            TransferError::Legacy(msg) => write!(f, "transfer error: {msg}"),
         }
     }
 }
@@ -231,7 +228,7 @@ const TRANSFER_SALT: &[u8] = b"devudf-transfer-v1";
 const INTEGRITY_TAG_LEN: usize = 4;
 
 /// v1 container magic. Distinct from the pickle magic `PKL1` that opens a
-/// legacy plain payload, so [`decode_payload`] can dispatch by sniffing.
+/// plain payload.
 const CONTAINER_MAGIC: [u8; 4] = *b"DUC1";
 /// v1 container version byte.
 const CONTAINER_VERSION: u8 = 1;
@@ -297,7 +294,7 @@ fn mix_seed(seed: u64, transfer_id: u64) -> u64 {
 }
 
 /// Derive the per-session sampling seed the server threads into
-/// [`encode_payload`]: mixes the engine's base seed with the wire session
+/// [`sample_transfer`]: mixes the engine's base seed with the wire session
 /// id, so two debug sessions against the same server sample different
 /// rows while any single (engine seed, session, transfer) triple stays
 /// fully reproducible.
@@ -357,6 +354,19 @@ pub fn sample_inputs(inputs: &Value, k: usize, seed: u64) -> Result<Value, Trans
             .map_err(|e| TransferError::Input(e.to_string()))?;
     }
     Ok(Value::dict(out))
+}
+
+/// Sample `inputs` down to `k` rows for one transfer: the session-level
+/// `seed` is mixed with `transfer_id`, so every extract in a session
+/// draws a fresh sample while any (seed, transfer id) pair reproduces
+/// the same rows.
+pub fn sample_transfer(
+    inputs: &Value,
+    k: usize,
+    seed: u64,
+    transfer_id: u64,
+) -> Result<Value, TransferError> {
+    sample_inputs(inputs, k, mix_seed(seed, transfer_id))
 }
 
 /// Code one plaintext block exactly as the v1 container does: optional LZ
@@ -520,13 +530,6 @@ fn read_varint_usize(
         .map_err(|e| container_err(format!("bad {what} varint: {e}")))?;
     *cursor += used;
     usize::try_from(v).map_err(|_| container_err(format!("{what} out of range")))
-}
-
-/// True when `payload` opens with the v1 container magic + version.
-/// A legacy plain payload opens with the pickle magic `PKL1`, a legacy
-/// compressed/encrypted blob with a varint/ciphertext — neither collides.
-pub fn is_container(payload: &[u8]) -> bool {
-    payload.len() >= 6 && payload[..4] == CONTAINER_MAGIC && payload[4] == CONTAINER_VERSION
 }
 
 /// Unpack a v1 chunked container produced by [`encode_blocks`], decoding
@@ -772,8 +775,10 @@ pub fn encode_delta_blocks(
 /// the codec's minimum stream length). Decoded shipped blocks are
 /// re-hashed and checked against the digest table, so a block that
 /// decodes to the wrong content fails loudly. Cached blocks are trusted
-/// to match their digest — [`crate::delta::CacheEntry`] constructs them
-/// from hashed data.
+/// to match their digest: a [`crate::delta::CacheEntry`] holds only
+/// blocks that were hashed when it was built, or that this function
+/// checked (the client builds its next entry from the reply's digest
+/// table, so every block of the returned payload matches `digests`).
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_delta(
     pool: &Pool,
@@ -925,9 +930,11 @@ pub fn unpickle_inputs(data: &[u8]) -> Result<Value, TransferError> {
     pickle::loads(data).map_err(|e| TransferError::Pickle(format!("unpickle: {e}")))
 }
 
-/// Server side: pickle the (possibly sampled) inputs and apply the selected
-/// codecs on the process-global pool. Returns (wire payload, raw pickle
-/// length). See [`encode_payload_with`] to supply a specific pool.
+/// Pickle the (possibly sampled) inputs and pack them as one whole
+/// payload — the v1 container, or the raw pickle when plain — on the
+/// process-global pool. The extract wire ships blocks instead
+/// ([`encode_delta_blocks`]). Returns (payload, raw pickle length). See
+/// [`encode_payload_with`] to supply a specific pool.
 pub fn encode_payload(
     inputs: &Value,
     options: &TransferOptions,
@@ -948,15 +955,13 @@ pub fn encode_payload_with(
     seed: u64,
 ) -> Result<(Vec<u8>, usize), TransferError> {
     let effective = match options.sample {
-        Some(k) => sample_inputs(inputs, k, mix_seed(seed, transfer_id))?,
+        Some(k) => sample_transfer(inputs, k, seed, transfer_id)?,
         None => inputs.clone(),
     };
-    let payload =
-        pickle::dumps(&effective).map_err(|e| TransferError::Pickle(format!("pickle: {e}")))?;
+    let payload = pickle_inputs(&effective)?;
     let raw_len = payload.len();
     if !options.compress && !options.encrypt {
-        // Plain transfers keep the zero-overhead legacy format: the raw
-        // pickle itself is the wire payload.
+        // Plain payloads carry no framing: the raw pickle itself.
         return Ok((payload, raw_len));
     }
     Ok((
@@ -965,45 +970,9 @@ pub fn encode_payload_with(
     ))
 }
 
-/// Legacy (v0) single-blob encoder: compress-then-encrypt the whole
-/// pickle in one piece. Kept for compatibility tests and as the
-/// single-core baseline in benchmarks; new code emits the chunked
-/// container via [`encode_payload`].
-pub fn encode_payload_legacy(
-    inputs: &Value,
-    options: &TransferOptions,
-    password: &str,
-    transfer_id: u64,
-    seed: u64,
-) -> Result<(Vec<u8>, usize), TransferError> {
-    let effective = match options.sample {
-        Some(k) => sample_inputs(inputs, k, mix_seed(seed, transfer_id))?,
-        None => inputs.clone(),
-    };
-    let mut payload =
-        pickle::dumps(&effective).map_err(|e| TransferError::Pickle(format!("pickle: {e}")))?;
-    let raw_len = payload.len();
-    if options.compress {
-        payload = lz::compress(&payload);
-    }
-    if options.encrypt {
-        // Integrity envelope: an FNV-1a checksum of the plaintext rides
-        // *inside* the ciphertext, so a wrong-password decrypt fails
-        // loudly instead of unpickling garbage.
-        let tag = codecs::fnv1a_32(&payload);
-        payload.extend_from_slice(&tag.to_le_bytes());
-        let key = transfer_key(password);
-        let nonce = kdf::derive_nonce(transfer_id);
-        let mut cipher = chacha20::ChaCha20::new(&key, &nonce, 1);
-        cipher.apply(&mut payload);
-    }
-    Ok((payload, raw_len))
-}
-
-/// Client side: reverse the codecs and unpickle on the process-global
-/// pool. The client derives the same key from the password it already
-/// holds — the key never crosses the wire. Dispatches on the container
-/// magic, so legacy v0 single-blob payloads still decode.
+/// Reverse [`encode_payload`] and unpickle on the process-global pool.
+/// The decoder derives the same key from the password it already holds
+/// — the key never crosses the wire.
 pub fn decode_payload(
     payload: &[u8],
     options: &TransferOptions,
@@ -1021,52 +990,23 @@ pub fn decode_payload_with(
     password: &str,
     transfer_id: u64,
 ) -> Result<Value, TransferError> {
-    let data = if (options.compress || options.encrypt) && is_container(payload) {
-        decode_blocks(pool, payload, options, password, transfer_id)?
+    let decoded;
+    let data = if options.compress || options.encrypt {
+        decoded = decode_blocks(pool, payload, options, password, transfer_id)?;
+        &decoded[..]
     } else {
-        decode_legacy_bytes(payload, options, password, transfer_id)?
+        payload
     };
-    pickle::loads(&data)
-        .map_err(|e| TransferError::Pickle(format!("unpickle (wrong password?): {e}")))
-}
-
-/// Reverse the legacy v0 single-blob codecs (no container framing).
-fn decode_legacy_bytes(
-    payload: &[u8],
-    options: &TransferOptions,
-    password: &str,
-    transfer_id: u64,
-) -> Result<Vec<u8>, TransferError> {
-    let mut data = payload.to_vec();
-    if options.encrypt {
-        let key = transfer_key(password);
-        let nonce = kdf::derive_nonce(transfer_id);
-        let mut cipher = chacha20::ChaCha20::new(&key, &nonce, 1);
-        cipher.apply(&mut data);
-        // Verify the plaintext checksum appended by the legacy encoder.
-        if data.len() < INTEGRITY_TAG_LEN {
-            return Err(TransferError::Legacy(
-                "encrypted payload too short for integrity tag".into(),
-            ));
-        }
-        let tag_bytes = data.split_off(data.len() - INTEGRITY_TAG_LEN);
-        let expected = u32::from_le_bytes(tag_bytes.try_into().expect("4-byte tag"));
-        if codecs::fnv1a_32(&data) != expected {
-            return Err(TransferError::Legacy(
-                "integrity check failed after decryption (wrong password?)".into(),
-            ));
-        }
-    }
-    if options.compress {
-        data = lz::decompress(&data)
-            .map_err(|e| TransferError::Legacy(format!("decompress (wrong password?): {e}")))?;
-    }
-    Ok(data)
+    unpickle_inputs(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn is_container(payload: &[u8]) -> bool {
+        payload.starts_with(&CONTAINER_MAGIC)
+    }
 
     fn sample_dict(rows: usize) -> Value {
         let mut d = Dict::new();
@@ -1102,7 +1042,7 @@ mod tests {
         let inputs = sample_dict(100);
         let (payload, raw) =
             encode_payload(&inputs, &TransferOptions::plain(), "pw", 1, 7).unwrap();
-        // Plain stays legacy v0: the raw pickle, zero framing overhead.
+        // Plain is the raw pickle, zero framing overhead.
         assert_eq!(payload.len(), raw);
         assert!(!is_container(&payload));
         let back = decode_payload(&payload, &TransferOptions::plain(), "pw", 1).unwrap();
@@ -1166,7 +1106,7 @@ mod tests {
         for compress in [false, true] {
             for encrypt in [false, true] {
                 if !compress && !encrypt {
-                    continue; // plain is the v0 passthrough, covered above
+                    continue; // plain is the raw pickle, covered above
                 }
                 let opts = TransferOptions {
                     compress,
@@ -1261,25 +1201,6 @@ mod tests {
                 other => panic!("block {block}: expected BlockIntegrity, got {other:?}"),
             }
             off += wire_len;
-        }
-    }
-
-    #[test]
-    fn legacy_v0_blob_still_decodes() {
-        let inputs = sample_dict(200);
-        for opts in [
-            TransferOptions::compressed(),
-            TransferOptions::encrypted(),
-            TransferOptions {
-                compress: true,
-                encrypt: true,
-                ..Default::default()
-            },
-        ] {
-            let (payload, _) = encode_payload_legacy(&inputs, &opts, "pw", 6, 7).unwrap();
-            assert!(!is_container(&payload));
-            let back = decode_payload(&payload, &opts, "pw", 6).unwrap();
-            assert!(back.py_eq(&inputs), "legacy decode failed for {opts:?}");
         }
     }
 

@@ -56,7 +56,7 @@ fn messages_round_trip() {
         |(sql, compress, encrypt, sample, (id, bs))| {
             for msg in [
                 Message::Query { sql: sql.clone() },
-                Message::ExtractInputs {
+                Message::ExtractDelta {
                     query: sql.clone(),
                     udf: "f".into(),
                     options: TransferOptions {
@@ -66,8 +66,10 @@ fn messages_round_trip() {
                         ..Default::default()
                     },
                     transfer_id: *id,
+                    epochs: vec![],
+                    digests: vec![],
                 },
-                Message::ExtractInputs {
+                Message::ExtractDelta {
                     query: sql.clone(),
                     udf: "f".into(),
                     options: TransferOptions {
@@ -77,6 +79,8 @@ fn messages_round_trip() {
                         block_size: *bs,
                     },
                     transfer_id: *id,
+                    epochs: vec![(sql.clone(), *id)],
+                    digests: vec![[(*id % 251) as u8; 32]],
                 },
             ] {
                 let decoded = Message::decode(&msg.encode()).unwrap();

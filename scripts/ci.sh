@@ -35,9 +35,10 @@ cargo test --offline -q -p obs
 cargo build --offline -p obs --no-default-features
 cargo test --offline -q -p obs --no-default-features
 
-# The chunked transfer container must put identical bytes on the wire no
-# matter how wide the codec pool is (DESIGN.md §11): run the digest
-# printer single-threaded and with the default pool and diff the output.
+# The extract reply must put identical bytes on the wire no matter how
+# wide the codec pool is (DESIGN.md §11): run the digest printer over a
+# cold DeltaBlocks reply single-threaded and with the default pool and
+# diff the output.
 echo "==> transfer wire-determinism digests (1 thread vs default pool)"
 DEVUDF_POOL_THREADS=1 cargo run --offline --release -q -p devudf-bench --bin transfer_digest \
   > /tmp/devudf-digest-t1.txt

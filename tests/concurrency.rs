@@ -325,11 +325,13 @@ fn mid_extract_disconnect_frees_the_scheduler_slot() {
             Message::decode(&reply).unwrap(),
             Message::LoginOk { .. }
         ));
-        let extract = Message::ExtractInputs {
+        let extract = Message::ExtractDelta {
             query: "SELECT slow(i) FROM t".into(),
             udf: "slow".into(),
             options: TransferOptions::plain(),
             transfer_id: 1,
+            epochs: vec![],
+            digests: vec![],
         };
         write_frame(&mut stream, &extract.encode()).unwrap();
         drop(stream); // gone mid-extract

@@ -136,7 +136,7 @@ fn dml_invalidates_the_epoch_and_reships_only_dirty_blocks() {
     );
 
     // The reconstructed payload matches what a cache-less client fetches
-    // fresh over the classic protocol.
+    // cold.
     let mut plain = Client::connect_in_proc(&server, "monetdb", "monetdb", "demo").unwrap();
     let (fresh, _) = plain.extract_inputs(QUERY, "f", options).unwrap();
     assert!(warm.py_eq(&fresh));
@@ -161,13 +161,13 @@ fn delta_and_classic_clients_agree_across_option_combinations() {
         .with_block_size(2048);
         let (cold, _) = cached.extract_inputs(QUERY, "f", options).unwrap();
         let (warm, warm_stats) = cached.extract_inputs(QUERY, "f", options).unwrap();
-        let (classic, _) = plain.extract_inputs(QUERY, "f", options).unwrap();
+        let (uncached, _) = plain.extract_inputs(QUERY, "f", options).unwrap();
         assert!(
-            cold.py_eq(&classic),
+            cold.py_eq(&uncached),
             "compress={compress} encrypt={encrypt}"
         );
         assert!(
-            warm.py_eq(&classic),
+            warm.py_eq(&uncached),
             "compress={compress} encrypt={encrypt}"
         );
         assert_eq!(
@@ -183,24 +183,31 @@ fn sampled_extracts_bypass_the_cache() {
     let _serial = obs::metrics::test_lock();
     obs::set_enabled(true);
     let not_modified = obs::counter!("transfer.delta.server.not_modified");
-    let shipped = obs::counter!("transfer.delta.server.blocks_shipped");
     let nm0 = not_modified.get();
-    let sh0 = shipped.get();
 
     let server = sensor_server();
     let mut client = cached_client(&server);
-    for _ in 0..2 {
-        let (value, _) = client
-            .extract_inputs(QUERY, "f", TransferOptions::sampled(50))
-            .unwrap();
-        let Value::Dict(d) = &value else { panic!() };
+    let column_len = |value: &Value| {
+        let Value::Dict(d) = value else { panic!() };
         let col = d.borrow().get(&Value::str("column")).unwrap().unwrap();
         let Value::Array(a) = col else { panic!() };
-        assert_eq!(a.len(), 50);
+        a.len()
+    };
+    for _ in 0..2 {
+        let (value, stats) = client
+            .extract_inputs(QUERY, "f", TransferOptions::sampled(50))
+            .unwrap();
+        assert_eq!(column_len(&value), 50);
+        assert!(stats.wire_len > 0, "a sample always ships its rows");
     }
-    // Both sampled extracts took the classic path: the delta protocol
-    // never engaged.
+    // Neither sample was answered NotModified, and no sample is ever
+    // served in place of the data: the unsampled extract below shares
+    // their fingerprint, yet fetches every row.
+    let (full, stats) = client
+        .extract_inputs(QUERY, "f", TransferOptions::plain())
+        .unwrap();
+    assert_eq!(column_len(&full), 2000);
+    assert!(stats.wire_len > 0);
     assert_eq!(not_modified.get() - nm0, 0);
-    assert_eq!(shipped.get() - sh0, 0);
     server.shutdown();
 }
